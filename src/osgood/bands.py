@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasRisk
+from .errors import AliasRisk, NonPositiveArgument
 from .field import Domain, GridField, lp_norm
 from .growth import GrowthFunction, pclass_check, yudovich
 from .kfunc import BandSequence, k_seq
@@ -99,10 +99,6 @@ class DyadicDecomposition:
     source: GridField
     inhomogeneous_zero_band: GridField | None = None
 
-    @property
-    def j_range(self) -> tuple:
-        return tuple(j for j, _ in self.bands)
-
     def band_norms(self) -> BandSequence:
         return BandSequence(tuple((j, float(np.abs(b.data).max())) for j, b in self.bands))
 
@@ -167,6 +163,7 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
 
     The grid realization truncates to j >= 0: integer frequencies have
     |xi| >= 1 once the mean is removed, so negative bands are empty.
+    Raises NonPositiveArgument if Pi(N) <= 0 for some N in that range.
     """
     seq = d.band_norms() if isinstance(d, DyadicDecomposition) else d
     if not seq.entries:
@@ -176,8 +173,13 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
     best = 0.0
     terms = 2.0 ** (js * beta) * norms
     for N in range(0, n_max + 1):
+        pi_n = float(g(float(N)))
+        if not pi_n > 0.0:
+            raise NonPositiveArgument(
+                f"growth {g.name} has Pi({N}) = {pi_n:g}; the band norm divides by it"
+            )
         partial = float(terms[js <= N].sum())
-        best = max(best, partial / float(g(float(N))))
+        best = max(best, partial / pi_n)
     return best
 
 

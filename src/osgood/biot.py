@@ -20,6 +20,15 @@ from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import modulus_of_continuity
 
 
+def _wavenumbers(n: int) -> np.ndarray:
+    """Integer wavenumbers of an n-point grid (n even) with the Nyquist one
+    set to 0: the derivative of a real trigonometric interpolant has no
+    Nyquist component."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    return k
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
     """Frequency-side description of the velocity map for one beta."""
@@ -28,15 +37,17 @@ class SpectralOperator:
     n: int
 
     def wavenumbers(self):
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        k = _wavenumbers(self.n)
         return k[:, None] * np.ones((1, self.n)), np.ones((self.n, 1)) * k[None, :]
 
     def symbol(self):
-        """(S1, S2) with v_hat = (S1, S2) * w_hat; zero at xi = 0."""
+        """(S1, S2) with v_hat = (S1, S2) * w_hat; zero where xi = 0, which
+        is the zero mode and the modes (n/2, 0), (0, n/2), (n/2, n/2)."""
         k1, k2 = self.wavenumbers()
+        rho = np.hypot(k1, k2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            amp = np.hypot(k1, k2) ** (self.beta - 2.0)
-        amp[0, 0] = 0.0
+            amp = rho ** (self.beta - 2.0)
+        amp[rho == 0] = 0.0
         return 1j * k2 * amp, -1j * k1 * amp
 
     def top_band_amplification(self) -> float:
@@ -86,8 +97,7 @@ def czo_gradient(omega: GridField, beta: float = 0.0) -> dict:
 
 def curl(v1: GridField, v2: GridField) -> GridField:
     """d1 v2 - d2 v1 by spectral differentiation."""
-    n = v1.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = _wavenumbers(v1.n)
     s1 = np.fft.fft2(v1.data)
     s2 = np.fft.fft2(v2.data)
     w = np.fft.ifft2(1j * k[:, None] * s2 - 1j * k[None, :] * s1).real
@@ -96,8 +106,7 @@ def curl(v1: GridField, v2: GridField) -> GridField:
 
 def divergence_defect(v1: GridField, v2: GridField) -> float:
     """max |xi . v_hat(xi)| over the grid, normalized by the field scale."""
-    n = v1.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = _wavenumbers(v1.n)
     s1 = np.fft.fft2(v1.data)
     s2 = np.fft.fft2(v2.data)
     div = np.abs(k[:, None] * s1 + k[None, :] * s2)

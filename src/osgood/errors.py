@@ -37,13 +37,5 @@ class EmptySequence(OsgoodError):
     """Band sequence has no entries."""
 
 
-class StepUnstable(OsgoodError):
-    """A single integration step moved a particle more than half a period."""
-
-
-class WindowTooLow(OsgoodError):
-    """Requested t-window dips below the grid resolution floor."""
-
-
 class AliasRisk(UserWarning):
     """Top frequency band touches the Nyquist annulus."""

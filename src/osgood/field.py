@@ -75,13 +75,6 @@ class GridField:
     def as_domain(self, domain: Domain) -> "GridField":
         return replace(self, domain=domain)
 
-    def coords(self, centered: bool = False):
-        """1-d coordinate axis; centered puts the origin mid-grid."""
-        x = np.arange(self.n) * self.spacing
-        if centered:
-            x = x - self.domain.side / 2.0
-        return x
-
 
 def unitized(f: GridField) -> GridField:
     """The same samples carried on the |Omega|=1 torus."""

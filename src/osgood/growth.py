@@ -136,12 +136,6 @@ class GrowthFunction:
             ratios = self(2.0 * ps) / self(ps)
         return float(np.nanmax(ratios))
 
-    def is_nondecreasing(self, p_hi: float = 4096.0, samples: int = 128, rtol: float = 1e-9) -> bool:
-        lo = max(self.p0, 1e-6)
-        ps = np.geomspace(lo, p_hi, samples)
-        vals = self(ps)
-        return bool(np.all(np.diff(vals) >= -rtol * np.abs(vals[:-1])))
-
 
 @dataclass(frozen=True)
 class YudovichEvaluation:

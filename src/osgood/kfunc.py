@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .errors import EmptySequence
 from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
@@ -109,27 +108,41 @@ def k_lp_bmo(f: GridField, p0: float, lam: float = 0.25, t_grid=None) -> KCurve:
 def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values) -> np.ndarray:
     """Exact grid modulus sup over |x-y| <= h of |v(x)-v(y)|, per h.
 
-    Uses a separable min-dilation sweep: per row-offset dy the admissible
-    column window is the chord of the Euclidean ball, so each h costs one
-    O(n^2) sliding-min per row offset; periodic wrapping throughout.  For
-    vector data the maximum over components is taken.
+    The offsets (dy, dx) visited are those with |dy| <= a = floor(h/spacing)
+    and |dx| <= bx(dy), the chord half-width of the Euclidean ball, both
+    capped at n//2; wrapping is periodic throughout.  The chord never widens
+    as |dy| grows, so each h walks dy from a down to 0 while one running
+    row-minimum widens a column offset at a time, taken against slices of
+    the field padded once by n//2 columns on each side; the rows +dy and -dy
+    are folded in as slice minima.  Work is O(n^2 a) per h, memory four
+    n x n arrays per component.  For vector data the maximum over components
+    is taken.
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     out = np.zeros(len(hs))
     for comp in fields:
         v = np.asarray(comp, dtype=float)
         n = v.shape[0]
+        half = n // 2
+        padded = np.pad(v, ((0, 0), (half, half)), mode="wrap")
+        rowmin = np.empty_like(v)
+        lower = np.empty_like(v)
         for i, h in enumerate(hs):
-            a = int(np.floor(h / spacing + 1e-12))
-            a = min(a, n // 2)
-            lower = np.full_like(v, np.inf)
-            for dy in range(-a, a + 1):
+            a = min(int(np.floor(h / spacing + 1e-12)), half)
+            rowmin[:] = v
+            lower.fill(np.inf)
+            width = 0
+            for dy in range(a, -1, -1):
                 chord2 = (h / spacing) ** 2 - dy * dy
-                bx = int(np.floor(np.sqrt(max(chord2, 0.0)) + 1e-12))
-                bx = min(bx, n // 2)
-                shifted = np.roll(v, -dy, axis=0) if dy else v
-                rowmin = minimum_filter1d(shifted, size=2 * bx + 1, axis=1, mode="wrap")
-                np.minimum(lower, rowmin, out=lower)
+                bx = min(int(np.floor(np.sqrt(max(chord2, 0.0)) + 1e-12)), half)
+                for dx in range(width + 1, bx + 1):
+                    np.minimum(rowmin, padded[:, half + dx:half + dx + n], out=rowmin)
+                    np.minimum(rowmin, padded[:, half - dx:half - dx + n], out=rowmin)
+                width = bx
+                # lower[r] against rowmin[r + dy] and rowmin[r - dy], wrapped
+                for s in {dy, (n - dy) % n}:
+                    np.minimum(lower[:n - s], rowmin[s:], out=lower[:n - s])
+                    np.minimum(lower[n - s:], rowmin[:s], out=lower[n - s:])
             out[i] = max(out[i], float((v - lower).max()))
     return out if np.ndim(h_values) else float(out[0])
 

@@ -12,7 +12,7 @@ from osgood.bands import (
     thmve_equivalence_report,
     vishik_norm,
 )
-from osgood.errors import AliasRisk
+from osgood.errors import AliasRisk, NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
 from osgood.kfunc import BandSequence
@@ -154,6 +154,13 @@ class TestBesovVishik:
         n = 64
         xx, _ = grid_xy(n)
         assert vishik_norm(decompose(torus_field(np.cos(xx))), CONST, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_vishik_zero_growth_rejected(self):
+        # Pi(0) = 0 for the unshifted power growth: a typed error, not a
+        # ZeroDivisionError
+        xx, _ = grid_xy(64)
+        with pytest.raises(NonPositiveArgument):
+            vishik_norm(decompose(torus_field(np.cos(xx))), GrowthFunction.power(1.0), 0.0)
 
 
 class TestEquivalenceReport:

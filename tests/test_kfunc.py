@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import osgood
 
 from osgood.errors import EmptySequence
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
@@ -158,6 +164,77 @@ class TestKLinfLip:
         v = torus_field(rng.standard_normal((64, 64)))
         curve = k_linf_lip(v)
         assert np.all(np.diff(curve.k_values) >= -1e-12)
+
+
+def _reference_modulus(fields, spacing, h_values):
+    """The former per-row-offset routine: one rolled minimum_filter1d per
+    (h, dy) pair.  Slow, but a direct transcription of the offset set."""
+    from scipy.ndimage import minimum_filter1d
+
+    hs = np.atleast_1d(np.asarray(h_values, dtype=float))
+    out = np.zeros(len(hs))
+    for comp in fields:
+        v = np.asarray(comp, dtype=float)
+        n = v.shape[0]
+        for i, h in enumerate(hs):
+            a = int(np.floor(h / spacing + 1e-12))
+            a = min(a, n // 2)
+            lower = np.full_like(v, np.inf)
+            for dy in range(-a, a + 1):
+                chord2 = (h / spacing) ** 2 - dy * dy
+                bx = int(np.floor(np.sqrt(max(chord2, 0.0)) + 1e-12))
+                bx = min(bx, n // 2)
+                shifted = np.roll(v, -dy, axis=0) if dy else v
+                rowmin = minimum_filter1d(shifted, size=2 * bx + 1, axis=1, mode="wrap")
+                np.minimum(lower, rowmin, out=lower)
+            out[i] = max(out[i], float((v - lower).max()))
+    return out if np.ndim(h_values) else float(out[0])
+
+
+def _gate_h_values(n):
+    """0, below one spacing, exact multiples, sqrt(2) and sqrt(5) spacings,
+    and radii past pi where the row reach is capped at n/2."""
+    s = 2 * np.pi / n
+    return np.array([0.0, 0.4 * s, s, 2 * s, 3 * s, np.sqrt(2) * s, np.sqrt(5) * s,
+                     min(7, n // 2) * s, np.pi + 0.5, 2 * np.pi])
+
+
+def _gate_field(n, kind):
+    if kind == "random":
+        return np.random.default_rng(n).standard_normal((n, n))
+    return log_power_field(n).data
+
+
+class TestModulusExactness:
+    """The slice-min chain visits the same offsets as the reference and
+    min is exact, so the results agree bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("kind", ["random", "log_singular"])
+    def test_bit_identical(self, n, kind):
+        v = _gate_field(n, kind)
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        assert np.array_equal(modulus_of_continuity([v], s, hs), _reference_modulus([v], s, hs))
+        got = modulus_of_continuity([v], s, float(hs[5]))
+        assert isinstance(got, float)
+        assert got == _reference_modulus([v], s, float(hs[5]))
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    def test_bit_identical_two_components(self, n):
+        comps = [_gate_field(n, "random"), _gate_field(n, "log_singular")]
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(osgood.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, osgood.kfunc, osgood.biot, osgood.spaces, osgood.bands; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestKSeq:
