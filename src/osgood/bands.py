@@ -148,14 +148,13 @@ def decompose(f: GridField, warn_nyquist: bool = True, inhomogeneous: bool = Fal
     )
 
 
-def besov_norm(d: DyadicDecomposition, beta: float) -> float:
-    """sum over bands of 2^(j beta) sup |band|."""
-    seq = d.band_norms()
-    return float(np.sum(2.0 ** (seq.js * beta) * seq.norms))
-
-
 def besov_norm_seq(seq: BandSequence, beta: float) -> float:
+    """sum over bands of 2^(j beta) sup |band|."""
     return float(np.sum(2.0 ** (seq.js * beta) * seq.norms))
+
+
+def besov_norm(d: DyadicDecomposition, beta: float) -> float:
+    return besov_norm_seq(d.band_norms(), beta)
 
 
 def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: float = 0.0) -> float:

@@ -111,13 +111,7 @@ class RearrangementProfile:
 
     def integral(self, t):
         """integral of f* over (0, t), exact on partial cells."""
-        t = np.asarray(t, dtype=float)
-        prefix = np.concatenate([[0.0], np.cumsum(self.values) * self.cell_measure])
-        idx = np.minimum(np.floor(t / self.cell_measure).astype(int), len(self.values))
-        frac = t - idx * self.cell_measure
-        vals_at = np.where(idx < len(self.values), self.values[np.minimum(idx, len(self.values) - 1)], 0.0)
-        out = prefix[idx] + np.where(idx < len(self.values), frac * vals_at, 0.0)
-        return out if out.shape else float(out)
+        return self.power_integral(t, 1.0)
 
     def double_star(self, t):
         """f**(t) = (1/t) integral of f* over (0, t)."""
@@ -221,13 +215,32 @@ class SharpMaximalField:
     result: GridField
 
 
-def _local_oscillation(sorted_block: np.ndarray, keep: int) -> np.ndarray:
-    """Half-length of the shortest interval containing `keep` sorted samples."""
-    m = sorted_block.shape[-1]
+def _cube_sweep(f: GridField, stat, min_side: int) -> GridField:
+    """For each cell, the max of stat(samples of Q) over the dyadic cubes Q
+    containing it; stat maps (b, b, side*side) blocks to (b, b) values."""
+    n = f.n
+    out = np.zeros_like(f.data)
+    for side in cube_levels(n, min_side=min_side):
+        for shift in _cube_shifts(n, side):
+            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
+            _scatter_blocks(stat(_block_view(rolled, side)), side, shift, out)
+    return GridField(out, f.domain)
+
+
+def _trimmed_oscillation(blocks: np.ndarray, lam: float) -> np.ndarray:
+    """Half-length of the shortest interval containing ceil((1-lam) m) of a
+    block's m samples."""
+    s = np.sort(blocks, axis=-1)
+    m = s.shape[-1]
+    keep = m - int(np.floor(lam * m))
     if keep >= m:
-        return 0.5 * (sorted_block[..., -1] - sorted_block[..., 0])
-    window = sorted_block[..., keep - 1:] - sorted_block[..., : m - keep + 1]
+        return 0.5 * (s[..., -1] - s[..., 0])
+    window = s[..., keep - 1:] - s[..., : m - keep + 1]
     return 0.5 * np.min(window, axis=-1)
+
+
+def _mean_oscillation(blocks: np.ndarray) -> np.ndarray:
+    return np.abs(blocks - blocks.mean(axis=-1, keepdims=True)).mean(axis=-1)
 
 
 def sharp_maximal(f: GridField, lam: float = 0.25, min_side: int = 4) -> SharpMaximalField:
@@ -240,20 +253,9 @@ def sharp_maximal(f: GridField, lam: float = 0.25, min_side: int = 4) -> SharpMa
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
-    n = f.n
-    out = np.zeros_like(f.data)
-    sides = cube_levels(n, min_side=min_side)
-    for side in sides:
-        m = side * side
-        keep = m - int(np.floor(lam * m))
-        for shift in _cube_shifts(n, side):
-            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
-            blocks = np.sort(_block_view(rolled, side), axis=-1)
-            osc = _local_oscillation(blocks, keep)
-            _scatter_blocks(osc, side, shift, out)
     return SharpMaximalField(
-        base=f, lam=lam, cube_sides=tuple(sides),
-        result=GridField(out, f.domain),
+        base=f, lam=lam, cube_sides=tuple(cube_levels(f.n, min_side=min_side)),
+        result=_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam), min_side),
     )
 
 
@@ -262,16 +264,7 @@ def fefferman_stein_sharp(f: GridField, min_side: int = 4) -> GridField:
 
     Its global maximum is the (dyadic) BMO norm of the field.
     """
-    n = f.n
-    out = np.zeros_like(f.data)
-    for side in cube_levels(n, min_side=min_side):
-        for shift in _cube_shifts(n, side):
-            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
-            blocks = _block_view(rolled, side)
-            means = blocks.mean(axis=-1, keepdims=True)
-            osc = np.abs(blocks - means).mean(axis=-1)
-            _scatter_blocks(osc, side, shift, out)
-    return GridField(out, f.domain)
+    return _cube_sweep(f, _mean_oscillation, min_side)
 
 
 def dyadic_bmo_norm(f: GridField, min_side: int = 4) -> float:

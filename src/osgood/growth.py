@@ -11,7 +11,7 @@ the quantity that controls modulus-of-continuity envelopes downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -23,9 +23,6 @@ from .errors import (
     NonPositiveArgument,
     SearchDivergence,
 )
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class GrowthFunction:
@@ -144,6 +141,11 @@ class YudovichEvaluation:
     argmin_p: float
 
 
+def _with_p0(g: GrowthFunction, p0: float) -> GrowthFunction:
+    """g re-indexed to p0 (g itself when it already has that index)."""
+    return g if g.p0 == p0 else replace(g, p0=float(p0))
+
+
 def theta1(g: GrowthFunction) -> GrowthFunction:
     """The lifted growth p -> p * Theta(p) (doubling constant at most doubles)."""
     return GrowthFunction(
@@ -153,126 +155,82 @@ def theta1(g: GrowthFunction) -> GrowthFunction:
     )
 
 
-def _objective_log(g: GrowthFunction, log_r: float, p: np.ndarray) -> np.ndarray:
-    # log of Theta(p) * r**(1/p); keeps r up to 1e308 out of the exponent
-    return g.log_value(p) + log_r / np.asarray(p, dtype=float)
+_GRID = 1024
 
 
-def yudovich_eval(
-    g: GrowthFunction,
-    r: float,
-    p_max: float | None = None,
-    prescan: int = 64,
-    dense: int = 4096,
-) -> YudovichEvaluation:
-    """inf over p in (p0, P] of Theta(p) * r**(1/p).
+def _yudovich(g: GrowthFunction, r, p_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """inf over p > p0 of Theta(p) * r**(1/p), and the p attaining it, shaped like r.
 
-    For r <= 1 the map is increasing in p, so the infimum is the boundary
-    value Theta(p0) * r**(1/p0), returned in closed form.  For r > 1 a
-    64-point log-grid pre-scan brackets the minimum; golden-section refines
-    it when the scan looks unimodal, otherwise a dense grid minimum is used.
-    The window P grows adaptively while the boundary value keeps improving.
+    For r <= 1 the map increases in p: the p0 boundary value, in closed form.
+    For r > 1 all entries share one log grid of p on (p0, P], P = max(1e3,
+    10 max log r) unless given, widened tenfold (up to 1e12) while some
+    entry's minimum sits at the edge and still falls.  One parabolic vertex
+    step in log p through each grid minimum and its neighbours is kept where
+    the three points are convex and the vertex is lower; the p0 boundary is
+    one more candidate.  The objective is taken in logs, which keeps r up to
+    1e308 out of the exponent; non-finite values count as +inf.
     """
-    if not (r > 0.0):
+    rs = np.asarray(r, dtype=float)
+    if np.any(~(rs > 0.0)):
         raise NonPositiveArgument(f"r must be > 0, got {r}")
     p0 = g.p0
-    if r <= 1.0:
-        return YudovichEvaluation(r=r, value=float(g(p0)) * r ** (1.0 / p0), argmin_p=p0)
+    values = np.empty_like(rs)
+    argmins = np.full_like(rs, p0)
+    big = rs > 1.0
+    values[~big] = float(g(p0)) * rs[~big] ** (1.0 / p0)
+    if not big.any():
+        return values, argmins
 
-    log_r = math.log(r)
+    log_r = np.log(rs[big])
     if p_max is None:
-        p_max = max(1e3, 10.0 * log_r)
+        p_max = max(1e3, 10.0 * float(log_r.max()))
+    cols = np.arange(len(log_r))
 
-    lo = p0 * (1.0 + 1e-12) + 1e-300
+    def objective(p):
+        out = g.log_value(p) + log_r / p
+        return np.where(np.isfinite(out), out, np.inf)
+
     while True:
-        ps = np.geomspace(lo, p_max, prescan)
-        vals = _objective_log(g, log_r, ps)
-        if not np.all(np.isfinite(vals)):
-            finite = np.isfinite(vals)
-            if not finite.any():
-                raise SearchDivergence(f"objective not finite anywhere in ({p0}, {p_max}]")
-            ps, vals = ps[finite], vals[finite]
-        k = int(np.argmin(vals))
-        if k < len(ps) - 1:
+        xs = np.linspace(math.log(p0 * (1.0 + 1e-12)), math.log(p_max), _GRID)
+        mat = objective(np.exp(xs)[:, None])
+        k = np.argmin(mat, axis=0)
+        with np.errstate(invalid="ignore"):
+            still_falling = (k == _GRID - 1) & (mat[-1] - mat[_GRID // 2] < -1e-13)
+        if p_max >= 1e12 or not still_falling.any():
             break
-        # still decreasing at the window edge: widen until stabilized
-        improved = vals[-1] - vals[len(vals) // 2]
-        if p_max >= 1e12 or improved > -1e-13:
-            return YudovichEvaluation(r=r, value=float(math.exp(vals[-1])), argmin_p=float(ps[-1]))
         p_max *= 10.0
+    best, best_x = mat[k, cols], xs[k]
+    if not np.all(np.isfinite(best)):
+        raise SearchDivergence(f"objective not finite anywhere in ({p0}, {p_max:g}]")
 
-    if k == 0:
-        # boundary infimum at p0+: the objective increases along the grid
-        return YudovichEvaluation(r=r, value=float(g(p0)) * r ** (1.0 / p0), argmin_p=p0)
+    # the three points are one-sided at the grid ends, so the step is clipped to a cell
+    c = np.clip(k, 1, _GRID - 2)
+    fl, fc, fr = mat[c - 1, cols], mat[c, cols], mat[c + 1, cols]
+    h = xs[1] - xs[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curv = fl - 2.0 * fc + fr
+        vx = xs[c] + np.clip(0.5 * h * (fl - fr) / curv, -h, h)
+        fv = objective(np.exp(vx))
+    better = (curv > 0.0) & (fv < best)
+    best, best_x = np.where(better, fv, best), np.where(better, vx, best_x)
 
-    diffs = np.sign(np.diff(vals))
-    sign_changes = int(np.count_nonzero(np.diff(diffs[diffs != 0])))
-    if sign_changes <= 1:
-        a, b = math.log(ps[k - 1]), math.log(ps[k + 1])
-        fa = _objective_log(g, log_r, math.exp(a))
-        fb = _objective_log(g, log_r, math.exp(b))
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1 = _objective_log(g, log_r, math.exp(x1))
-        f2 = _objective_log(g, log_r, math.exp(x2))
-        for _ in range(90):
-            if f1 <= f2:
-                b, fb = x2, f2
-                x2, f2 = x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = _objective_log(g, log_r, math.exp(x1))
-            else:
-                a, fa = x1, f1
-                x1, f1 = x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = _objective_log(g, log_r, math.exp(x2))
-            if b - a < 1e-14:
-                break
-        cands = [(f1, x1), (f2, x2), (fa, a), (fb, b)]
-    else:
-        # non-unimodal pre-scan: fall back to a dense grid minimum
-        pd = np.geomspace(lo, p_max, dense)
-        vd = _objective_log(g, log_r, pd)
-        j = int(np.nanargmin(vd))
-        cands = [(vd[j], math.log(pd[j]))]
-
-    fbest, xbest = min(cands)
-    return YudovichEvaluation(r=r, value=float(math.exp(fbest)), argmin_p=float(math.exp(xbest)))
+    boundary = objective(p0)
+    at_p0 = boundary <= best
+    values[big] = np.exp(np.where(at_p0, boundary, best))
+    argmins[big] = np.where(at_p0, p0, np.exp(best_x))
+    return values, argmins
 
 
-def yudovich(g: GrowthFunction, r, grid: int = 4096) -> np.ndarray:
-    """Vectorized y(r): dense log-grid infimum over p, shared across entries.
+def yudovich_eval(g: GrowthFunction, r: float, p_max: float | None = None) -> YudovichEvaluation:
+    """y(r) for one r, with the p attaining it; p_max sets the first window."""
+    values, argmins = _yudovich(g, float(r), p_max)
+    return YudovichEvaluation(r=r, value=float(values), argmin_p=float(argmins))
 
-    A scalar argument routes through the bracketing search of yudovich_eval;
-    arrays use a 4096-point grid (relative accuracy ~1e-5 for the smooth
-    families) with the p0 boundary value always included as a candidate.
-    """
-    if np.ndim(r) == 0:
-        return yudovich_eval(g, float(r)).value
-    rs = np.asarray(r, dtype=float)
-    if np.any(rs <= 0.0):
-        raise NonPositiveArgument("all r must be > 0")
-    out = np.empty_like(rs)
-    p0 = g.p0
-    small = rs <= 1.0
-    if small.any():
-        out[small] = float(g(p0)) * rs[small] ** (1.0 / p0)
-    big = ~small
-    if big.any():
-        log_rs = np.log(rs[big])
-        p_max = max(1e3, 10.0 * float(log_rs.max()))
-        while True:
-            ps = np.geomspace(p0 * (1.0 + 1e-12), p_max, grid)
-            mat = g.log_value(ps)[:, None] + log_rs[None, :] / ps[:, None]
-            mins = np.min(mat, axis=0)
-            at_edge = np.argmin(mat, axis=0) == grid - 1
-            still_falling = at_edge & (mat[-1] - mat[grid // 2] < -1e-13)
-            if p_max >= 1e12 or not still_falling.any():
-                break
-            p_max *= 10.0
-        boundary = g.log_value(p0) + log_rs / p0
-        out[big] = np.exp(np.minimum(mins, boundary))
-    return out
+
+def yudovich(g: GrowthFunction, r):
+    """y(r) elementwise: a float for scalar r, an array shaped like r otherwise."""
+    values, _ = _yudovich(g, r)
+    return values if values.ndim else float(values)
 
 
 # -- quasi-decreasing sampling check ---------------------------------------

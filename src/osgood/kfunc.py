@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptySequence
 from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, yudovich
+from .growth import GrowthFunction, _with_p0, yudovich
 
 
 def default_t_grid(lo: float = 1e-6, hi: float = 1e3, m: int = 64) -> np.ndarray:
@@ -172,12 +172,9 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t: float) -> float:
 
 
 def k_seq_kappa(seq: BandSequence, beta: float, kappa: float, t: float) -> float:
-    """The same formula in its (beta, kappa) form:
-    sum_j min(1, 2^(j kappa) t) 2^(j (beta-kappa)) ||f_j||."""
-    if not seq.entries:
-        raise EmptySequence("band sequence has no entries")
-    js, norms = seq.js, seq.norms
-    return float(np.sum(np.minimum(1.0, 2.0 ** (js * kappa) * t) * 2.0 ** (js * (beta - kappa)) * norms))
+    """k_seq in its (beta, kappa) form, s0 = beta - kappa, s1 = beta:
+    sum_j min(1, 2^(j kappa) t) 2^(j (beta-kappa)) ||f_j||; needs kappa > 0."""
+    return k_seq(seq, beta - kappa, beta, t)
 
 
 def k_seq_curve(seq: BandSequence, s0: float, s1: float, t_grid) -> KCurve:
@@ -197,12 +194,8 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
     re-indexed if needed); otherwise the large-s plateau picks up a spurious
     power of s.
     """
-    from dataclasses import replace
-
-    if g.p0 != p0:
-        g = replace(g, p0=float(p0))
     s = curve.t_samples
-    denom = s * yudovich(g, s ** (-p0))
+    denom = s * yudovich(_with_p0(g, p0), s ** (-p0))
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = curve.k_values / denom
     vals = vals[np.isfinite(vals)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import GridField, lp_norm, rearrange, sharp_maximal
-from .growth import GrowthFunction, yudovich
+from .growth import GrowthFunction, _with_p0, yudovich
 from .kfunc import default_t_grid, extrapolation_sup, k_lp_linf_profile
 
 
@@ -106,12 +106,6 @@ def yudovich_norm(
         char_small_t=char_small, resolution=f.n,
         params={"growth": g.name, "p0": p0},
     )
-
-
-def _with_p0(g: GrowthFunction, p0: float) -> GrowthFunction:
-    from dataclasses import replace
-
-    return g if g.p0 == p0 else replace(g, p0=float(p0))
 
 
 def sharp_yudovich_norm(

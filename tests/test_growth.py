@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from osgood.errors import HypothesisViolated, InvalidModulus, NonPositiveArgument
+from osgood.errors import HypothesisViolated, InvalidModulus, NonPositiveArgument, SearchDivergence
 from osgood.growth import (
     GrowthFunction,
     OsgoodOrientation,
@@ -67,6 +67,13 @@ class TestYudovichEval:
         with pytest.raises(NonPositiveArgument):
             yudovich_eval(CONST, -2.0)
 
+    def test_nowhere_finite_objective_raises(self):
+        g = GrowthFunction.from_callable("inf", lambda p: np.full_like(p, np.inf))
+        with pytest.raises(SearchDivergence):
+            yudovich_eval(g, 10.0)
+        with pytest.raises(SearchDivergence):
+            yudovich(g, np.array([0.5, 10.0]))
+
     def test_monotone_in_r(self):
         rs = np.geomspace(1e-4, 1e12, 60)
         for g in (CONST, LINEAR, LOG):
@@ -87,11 +94,46 @@ class TestYudovichEval:
             ratios = []
             for t in np.geomspace(1e-6, 0.5, 12):
                 s = np.geomspace(t * 1e-8, t, 600)
-                ys = yudovich(g, 1.0 / s, grid=1024) ** p0
+                ys = yudovich(g, 1.0 / s) ** p0
                 integral = np.trapezoid(ys, s)
                 ratios.append((integral / t) / yudovich_eval(g, 1.0 / t).value ** p0)
             ratios = np.asarray(ratios)
             assert ratios.max() / ratios.min() < 8.0
+
+
+    def test_minimum_inside_first_cell(self):
+        # p^2 * 8^(1/p) is least at p = ln 8 / 2, a hair above p0 = 1
+        ev = yudovich_eval(QUADRATIC, 8.0)
+        p_star = math.log(8.0) / 2.0
+        assert ev.value == pytest.approx(p_star**2 * 8.0 ** (1.0 / p_star), rel=1e-9)
+        assert ev.value == pytest.approx(7.98771211, rel=1e-9)
+        assert ev.argmin_p == pytest.approx(p_star, rel=1e-4)
+
+    @pytest.mark.parametrize("g", [
+        CONST,
+        LINEAR,
+        QUADRATIC,
+        GrowthFunction.power(0.5, p0=2.0),
+        LOG,
+        GrowthFunction.log_power(1.0, (2.0,), p0=2.0),
+        GrowthFunction.power(1.0, p0=1.0, shift=1.0),
+        GrowthFunction.log_power(1.0, (1.0,), p0=1.0, shifted=True),
+        theta1(CONST),
+        theta1(LOG),
+    ], ids=lambda g: g.name)
+    def test_scalar_and_vector_calls_agree(self, g):
+        # one search serves both entry points.  The oracle window must reach
+        # the infimum, which for a constant growth sits at the 1e12 edge, and
+        # the oracle grid starts just above p0, so the p0 limit joins it
+        rs = np.geomspace(1.001, 1e300, 13)
+        vec = yudovich(g, rs)
+        p_hi = 1e12 if g is CONST else 1e4
+        for r, v in zip(rs, vec):
+            s = yudovich_eval(g, float(r)).value
+            assert s == pytest.approx(v, rel=1e-9)
+            oracle_val = min(dense_grid_infimum(g, r, p_hi=p_hi)[0], float(g(g.p0)) * r ** (1.0 / g.p0))
+            assert s == pytest.approx(oracle_val, rel=1e-9)
+            assert v == pytest.approx(oracle_val, rel=1e-9)
 
 
 class TestTheta1:

@@ -249,12 +249,16 @@ class TestKSeq:
         assert k_seq(seq, -1.0, 0.0, 0.5) == pytest.approx(1.25)
 
     def test_kappa_form_matches(self):
+        # k_seq_kappa is k_seq at s0 = beta - kappa, s1 = beta; check it
+        # against the (beta, kappa) form of the sum written out
         seq = BandSequence(((0, 0.3), (2, 1.7), (5, 0.2)))
-        beta, kappa = 0.0, 1.0
-        for t in (0.1, 1.0, 4.0):
-            assert k_seq_kappa(seq, beta, kappa, t) == pytest.approx(
-                k_seq(seq, beta - kappa, beta, t), rel=1e-14
-            )
+        js, norms = seq.js, seq.norms
+        for beta, kappa in ((0.0, 1.0), (0.5, 0.25)):
+            for t in (0.1, 1.0, 4.0):
+                direct = np.sum(np.minimum(1.0, 2.0 ** (js * kappa) * t) * 2.0 ** (js * (beta - kappa)) * norms)
+                assert k_seq_kappa(seq, beta, kappa, t) == pytest.approx(direct, rel=1e-14)
+        with pytest.raises(ValueError):
+            k_seq_kappa(seq, 0.0, 0.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
