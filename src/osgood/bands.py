@@ -2,9 +2,9 @@
 
 The band filter is a radial smooth bump supported in the annulus
 3/4 < |xi| < 7/4 with value 1 on 7/8 < |xi| < 9/8, normalized so that its
-dyadic dilates sum to exactly 1 at every nonzero frequency.  On the torus
-the nonzero integer frequencies have |xi| >= 1, so only bands j >= 0 carry
-content once the mean is split off.
+dyadic dilates sum to exactly 1 at every nonzero frequency.  The bands act
+on the integer wavenumber k of the grid on either domain; nonzero ones have
+|k| >= 1, so only bands j >= 0 carry content once the mean is split off.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AliasRisk, NonPositiveArgument
-from .field import Domain, GridField, lp_norm
+from .field import Domain, GridField, _fourier_grid, lp_norm
 from .growth import GrowthFunction, pclass_check, yudovich
 from .kfunc import BandSequence, k_seq
 
@@ -57,17 +57,15 @@ def band_profile(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandFilter:
-    """Band multiplier phi(2^-j |xi|) evaluated on a given grid's frequencies."""
+    """Band multipliers phi(2^-j |k|) on an n-point grid's rfft2 half-plane, k integer."""
 
     n: int
 
     @property
     def frequencies(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return np.hypot(k[:, None], k[None, :])
-
-    def multiplier(self, j: int) -> np.ndarray:
-        return band_profile(self.frequencies / 2.0 ** j)
+        """|k| on the half-plane, shape (n, n//2 + 1), Nyquist kept."""
+        k1, k2, _, _ = _fourier_grid(self.n, Domain.TORUS_2PI.side)
+        return np.hypot(k1, k2)
 
     def band_range(self) -> range:
         """All j whose annulus meets some nonzero grid frequency."""
@@ -75,21 +73,24 @@ class BandFilter:
         j_hi = int(np.floor(np.log2(max_freq / _SUPP_LO)))
         return range(0, j_hi + 1)
 
+    def multipliers(self) -> np.ndarray:
+        """phi_j on the half-plane for every j of band_range, stacked; band_profile
+        runs once per distinct |k| and is gathered back (bit-identical)."""
+        rho = self.frequencies
+        distinct, inverse = np.unique(rho.ravel(), return_inverse=True)
+        return np.stack([band_profile(distinct / 2.0 ** j)[inverse].reshape(rho.shape)
+                         for j in self.band_range()])
+
     def partition_defect(self) -> float:
         """max over nonzero grid frequencies of |sum_j phi_j - 1|."""
-        total = np.zeros((self.n, self.n))
-        for j in self.band_range():
-            total += self.multiplier(j)
-        rho = self.frequencies
-        return float(np.abs(total[rho > 0] - 1.0).max())
+        total = self.multipliers().sum(axis=0)
+        return float(np.abs(total[self.frequencies > 0] - 1.0).max())
 
 
 @lru_cache(maxsize=8)
 def _cached_multipliers(n: int):
     filt = BandFilter(n)
-    js = list(filt.band_range())
-    mults = np.stack([filt.multiplier(j) for j in js])
-    return js, mults
+    return list(filt.band_range()), filt.multipliers()
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,16 @@ def decompose(f: GridField, warn_nyquist: bool = True, inhomogeneous: bool = Fal
     n = f.n
     js, mults = _cached_multipliers(n)
     mean = float(f.data.mean())
-    spec = np.fft.fft2(f.data - mean)
-    bands = []
-    for j, mult in zip(js, mults):
-        if not mult.any():
-            continue
-        piece = np.fft.ifft2(spec * mult).real
-        bands.append((j, GridField(piece, f.domain)))
+    spec = np.fft.rfft2(f.data - mean)
+    # one band at a time, so temporaries stay at about one band's size
+    bands = [(j, GridField(np.fft.irfft2(spec * mult, s=f.data.shape), f.domain))
+             for j, mult in zip(js, mults) if mult.any()]
     if warn_nyquist and bands:
         scale = max(float(np.abs(f.data).max()), 1e-300)
-        for j, b in bands:
-            if _SUPP_HI * 2.0 ** j > n / 2 and np.abs(b.data).max() > 1e-12 * scale:
-                warnings.warn(
-                    f"band j={j} extends beyond the Nyquist circle |xi| = {n // 2}",
-                    AliasRisk,
-                )
-                break
+        risky = [j for j, b in bands
+                 if _SUPP_HI * 2.0 ** j > n / 2 and np.abs(b.data).max() > 1e-12 * scale]
+        if risky:
+            warnings.warn(f"bands j in {risky} extend beyond the Nyquist circle |k| = {n // 2}", AliasRisk)
     zero_band = None
     if inhomogeneous:
         # identity minus the strictly positive bands: mean + band 0 tails
@@ -250,14 +245,12 @@ def thmve_equivalence_report(
 # -- per-band inequalities -----------------------------------------------------
 
 def spectral_gradient(f: GridField) -> tuple[GridField, GridField]:
-    """(d/dx1 f, d/dx2 f) by Fourier differentiation (integer wavenumbers
-    on the side-2*pi torus, scaled otherwise)."""
-    n = f.n
-    scale = 2.0 * np.pi / f.domain.side
-    k = np.fft.fftfreq(n, d=1.0 / n) * scale
-    spec = np.fft.fft2(f.data)
-    gx = np.fft.ifft2(1j * k[:, None] * spec).real
-    gy = np.fft.ifft2(1j * k[None, :] * spec).real
+    """(d/dx1 f, d/dx2 f) by Fourier differentiation with the derivative
+    wavenumbers 2 pi k / side of the field's domain."""
+    _, _, xi1, xi2 = _fourier_grid(f.n, f.domain.side)
+    spec = np.fft.rfft2(f.data)
+    gx = np.fft.irfft2(1j * xi1 * spec, s=f.data.shape)
+    gy = np.fft.irfft2(1j * xi2 * spec, s=f.data.shape)
     return GridField(gx, f.domain), GridField(gy, f.domain)
 
 

@@ -3,8 +3,10 @@
 The velocity multiplier is i (xi_2, -xi_1) |xi|^(beta-2) acting on the
 vorticity transform, with the perpendicular orientation fixed so that the
 scalar curl of the recovered velocity reproduces the vorticity exactly at
-beta = 0.  beta = 1 gives the surface quasi-geostrophic velocity; beta > 2
-amplifies high frequencies and is flagged rather than forbidden.
+beta = 0.  xi = 2 pi k / side are the domain's derivative wavenumbers, so
+cos(xi x_1) maps to (0, xi^(beta-1) sin(xi x_1)) on either domain.  beta = 1
+gives the surface quasi-geostrophic velocity; beta > 2 amplifies high
+frequencies and is flagged rather than forbidden.
 """
 
 from __future__ import annotations
@@ -14,51 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonZeroMean
-from .field import Domain, GridField
+from .bands import besov_norm, decompose, spectral_gradient, vishik_norm
+from .errors import NonPositiveArgument, NonZeroMean
+from .field import GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import modulus_of_continuity
-
-
-def _wavenumbers(n: int) -> np.ndarray:
-    """Integer wavenumbers of an n-point grid (n even) with the Nyquist one
-    set to 0: the derivative of a real trigonometric interpolant has no
-    Nyquist component."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0
-    return k
-
-
-@dataclass(frozen=True)
-class SpectralOperator:
-    """Frequency-side description of the velocity map for one beta."""
-
-    beta: float
-    n: int
-
-    def wavenumbers(self):
-        k = _wavenumbers(self.n)
-        return k[:, None] * np.ones((1, self.n)), np.ones((self.n, 1)) * k[None, :]
-
-    def symbol(self):
-        """(S1, S2) with v_hat = (S1, S2) * w_hat; zero where xi = 0, which
-        is the zero mode and the modes (n/2, 0), (0, n/2), (n/2, n/2)."""
-        k1, k2 = self.wavenumbers()
-        rho = np.hypot(k1, k2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            amp = rho ** (self.beta - 2.0)
-        amp[rho == 0] = 0.0
-        return 1j * k2 * amp, -1j * k1 * amp
-
-    def top_band_amplification(self) -> float:
-        """|xi|^(beta-1) at the Nyquist ring: the gain of v over w there."""
-        return float((self.n / 2.0) ** (self.beta - 1.0))
-
-
-def _check_mean_free(omega: GridField) -> None:
-    scale = max(float(np.abs(omega.data).max()), 1e-300)
-    if abs(float(omega.data.mean())) > 1e-10 * scale:
-        raise NonZeroMean("vorticity must be mean-free (the zero mode has no velocity)")
 
 
 def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridField]:
@@ -67,49 +29,42 @@ def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridFie
     beta = 0 is the classical vorticity inversion (curl v = omega); the
     output is real and divergence-free by construction of the symbol.
     """
-    _check_mean_free(omega)
-    op = SpectralOperator(beta=beta, n=omega.n)
+    if abs(float(omega.data.mean())) > 1e-10 * max(float(np.abs(omega.data).max()), 1e-300):
+        raise NonZeroMean("vorticity must be mean-free (the zero mode has no velocity)")
     if beta > 2.0:
-        warnings.warn(
-            f"beta={beta:g} amplifies the top band by {op.top_band_amplification():.3g}",
-            UserWarning,
-        )
-    s1, s2 = op.symbol()
-    spec = np.fft.fft2(omega.data)
-    v1 = np.fft.ifft2(s1 * spec).real
-    v2 = np.fft.ifft2(s2 * spec).real
+        # |xi|^(beta-1) at the Nyquist ring |xi| = pi / spacing: the gain of v over w there
+        gain = (np.pi / omega.spacing) ** (beta - 1.0)
+        warnings.warn(f"beta={beta:g} amplifies the top band by {gain:.3g}", UserWarning)
+    _, _, xi1, xi2 = _fourier_grid(omega.n, omega.domain.side)
+    rho = np.hypot(xi1, xi2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = rho ** (beta - 2.0)
+    # xi = 0 at the zero mode and at (n/2, 0), (0, n/2), (n/2, n/2)
+    amp[rho == 0] = 0.0
+    spec = np.fft.rfft2(omega.data)
+    v1, v2 = (np.fft.irfft2(s * spec, s=omega.data.shape) for s in (1j * xi2 * amp, -1j * xi1 * amp))
     return GridField(v1, omega.domain), GridField(v2, omega.domain)
 
 
 def czo_gradient(omega: GridField, beta: float = 0.0) -> dict:
     """The four spectral derivatives d_i v_j of the recovered velocity."""
-    _check_mean_free(omega)
-    op = SpectralOperator(beta=beta, n=omega.n)
-    s1, s2 = op.symbol()
-    k1, k2 = op.wavenumbers()
-    spec = np.fft.fft2(omega.data)
-    out = {}
-    for (i, ki) in (("1", k1), ("2", k2)):
-        for (j, sj) in (("1", s1), ("2", s2)):
-            out[f"d{i}v{j}"] = GridField(np.fft.ifft2(1j * ki * sj * spec).real, omega.domain)
-    return out
+    grads = [spectral_gradient(v) for v in biot_savart(omega, beta)]
+    return {f"d{i + 1}v{j + 1}": grads[j][i] for i in range(2) for j in range(2)}
 
 
 def curl(v1: GridField, v2: GridField) -> GridField:
     """d1 v2 - d2 v1 by spectral differentiation."""
-    k = _wavenumbers(v1.n)
-    s1 = np.fft.fft2(v1.data)
-    s2 = np.fft.fft2(v2.data)
-    w = np.fft.ifft2(1j * k[:, None] * s2 - 1j * k[None, :] * s1).real
+    _, _, xi1, xi2 = _fourier_grid(v1.n, v1.domain.side)
+    s1, s2 = np.fft.rfft2(v1.data), np.fft.rfft2(v2.data)
+    w = np.fft.irfft2(1j * xi1 * s2 - 1j * xi2 * s1, s=v1.data.shape)
     return GridField(w, v1.domain)
 
 
 def divergence_defect(v1: GridField, v2: GridField) -> float:
     """max |xi . v_hat(xi)| over the grid, normalized by the field scale."""
-    k = _wavenumbers(v1.n)
-    s1 = np.fft.fft2(v1.data)
-    s2 = np.fft.fft2(v2.data)
-    div = np.abs(k[:, None] * s1 + k[None, :] * s2)
+    _, _, xi1, xi2 = _fourier_grid(v1.n, v1.domain.side)
+    s1, s2 = np.fft.rfft2(v1.data), np.fft.rfft2(v2.data)
+    div = np.abs(xi1 * s1 + xi2 * s2)
     scale = max(float(np.abs(s1).max()), float(np.abs(s2).max()), 1e-300)
     return float(div.max()) / scale
 
@@ -153,16 +108,21 @@ def modulus_envelope(
     oscillation-side norm is chosen (the classical pairing) and from the
     growth itself when the band-side norm is chosen; N is the corresponding
     norm of the vorticity.  fitted_c is the smallest constant making the
-    envelope dominate the measured modulus on the sample set.
+    envelope dominate the measured modulus on the sample set.  The default
+    h samples run from the grid spacing to half the side.
     """
     from . import spaces
-    from .bands import besov_norm, decompose, vishik_norm
 
+    if norm_choice not in ("sharp_yudovich", "vishik"):
+        raise ValueError(f"unknown norm choice {norm_choice!r}")
+    if norm_choice == "vishik" and not float(g(0.0)) > 0.0:
+        # Theta is non-decreasing, so Pi(0) > 0 is what vishik_norm needs
+        raise NonPositiveArgument(f"growth {g.name} has Pi(0) = {g(0.0):g}; the band norm divides by it")
     if velocity is None:
         velocity = biot_savart(omega, beta)
     v1, v2 = velocity
     if h_samples is None:
-        h_samples = np.geomspace(v1.spacing, np.pi, 48)
+        h_samples = np.geomspace(v1.spacing, v1.domain.side / 2.0, 48)
     hs = np.asarray(h_samples, dtype=float)
     measured = modulus_of_continuity([v1.data, v2.data], v1.spacing, hs)
 
@@ -170,12 +130,10 @@ def modulus_envelope(
         report = spaces.sharp_yudovich_norm(omega, g, p0=p0, lam=lam)
         norm_ref = report.direct_value
         env = envelope_curve(g, hs, norm_ref, lift=True)
-    elif norm_choice == "vishik":
+    else:
         d = decompose(omega, warn_nyquist=False)
         norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
         env = envelope_curve(g, hs, norm_ref, lift=False)
-    else:
-        raise ValueError(f"unknown norm choice {norm_choice!r}")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = measured / env

@@ -1,10 +1,11 @@
 """Periodic scalar fields, decreasing rearrangements, and maximal operators.
 
-Fields live on an n-by-n grid over the periodic square.  Two measure
-conventions coexist: the spectral side works on the side-2*pi torus, while
-all rearrangement-based quantities default to the unitized torus (|Omega|=1)
-so that t ranges over (0, 1).  Converting between them rescales only the
-measure per grid cell, never the samples.
+Fields live on an n-by-n grid over a periodic square: the side-2*pi torus
+(the default) or the unit torus (|Omega| = 1, so that t ranges over (0, 1)).
+Every quantity reads lengths from the field's domain: cell measure, modulus
+separations h and derivative wavenumbers 2 pi k / side; only the dyadic
+bands are indexed by the integer wavenumber k on either domain.  Changing
+the domain rescales lengths and measures, never the samples.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ class Domain(Enum):
     @property
     def tag(self) -> int:
         return 0 if self is Domain.TORUS_2PI else 1
+
+
+def _fourier_grid(n: int, side: float):
+    """rfft2 half-plane wavenumbers of an n-point grid on a square of this side:
+    integer k1 (n, 1) and k2 (1, n//2 + 1), Nyquist kept, and derivative
+    wavenumbers xi = 2 pi k / side with the Nyquist one 0 (a real
+    interpolant's derivative has none, and odd symbols stay Hermitian)."""
+    k1 = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    k2 = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
+    xi1, xi2 = k1 * (2.0 * np.pi / side), k2 * (2.0 * np.pi / side)
+    xi1[n // 2] = xi2[0, n // 2] = 0.0
+    return k1, k2, xi1, xi2
 
 
 @dataclass(frozen=True)

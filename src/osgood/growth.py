@@ -164,11 +164,11 @@ def _yudovich(g: GrowthFunction, r, p_max: float | None = None) -> tuple[np.ndar
     For r <= 1 the map increases in p: the p0 boundary value, in closed form.
     For r > 1 all entries share one log grid of p on (p0, P], P = max(1e3,
     10 max log r) unless given, widened tenfold (up to 1e12) while some
-    entry's minimum sits at the edge and still falls.  One parabolic vertex
-    step in log p through each grid minimum and its neighbours is kept where
-    the three points are convex and the vertex is lower; the p0 boundary is
-    one more candidate.  The objective is taken in logs, which keeps r up to
-    1e308 out of the exponent; non-finite values count as +inf.
+    entry's minimum sits at the edge and still falls, or exceeds Theta(P).
+    The grid minima of the first and the last window, each lowered by one
+    vertex step, and the p0 boundary are the candidates.  The objective is
+    taken in logs, which keeps r up to 1e308 out of the exponent; non-finite
+    values count as +inf.
     """
     rs = np.asarray(r, dtype=float)
     if np.any(~(rs > 0.0)):
@@ -190,29 +190,45 @@ def _yudovich(g: GrowthFunction, r, p_max: float | None = None) -> tuple[np.ndar
         out = g.log_value(p) + log_r / p
         return np.where(np.isfinite(out), out, np.inf)
 
-    while True:
+    def window(p_max):
         xs = np.linspace(math.log(p0 * (1.0 + 1e-12)), math.log(p_max), _GRID)
         mat = objective(np.exp(xs)[:, None])
-        k = np.argmin(mat, axis=0)
+        return xs, mat, np.argmin(mat, axis=0)
+
+    def vertex(xs, mat, k):
+        """Each entry's grid minimum and its log p, moved to the vertex of the parabola
+        through it and its neighbours where they are convex and the vertex is lower."""
+        best, best_x = mat[k, cols], xs[k]
+        # the three points are one-sided at the grid ends, so the step is clipped to a cell
+        c = np.clip(k, 1, _GRID - 2)
+        fl, fc, fr = mat[c - 1, cols], mat[c, cols], mat[c + 1, cols]
+        h = xs[1] - xs[0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            curv = fl - 2.0 * fc + fr
+            vx = xs[c] + np.clip(0.5 * h * (fl - fr) / curv, -h, h)
+            fv = objective(np.exp(vx))
+        better = (curv > 0.0) & (fv < best)
+        return np.where(better, fv, best), np.where(better, vx, best_x)
+
+    first = xs, mat, k = window(p_max)
+    low = first_min = mat[k, cols]
+    while p_max < 1e12:
         with np.errstate(invalid="ignore"):
             still_falling = (k == _GRID - 1) & (mat[-1] - mat[_GRID // 2] < -1e-13)
-        if p_max >= 1e12 or not still_falling.any():
+        # past the edge P the objective exceeds log Theta(P), read off any entry
+        if not (still_falling.any() or mat[-1, 0] - log_r[0] / p_max < low.max()):
             break
         p_max *= 10.0
-    best, best_x = mat[k, cols], xs[k]
+        xs, mat, k = window(p_max)
+        low = np.minimum(low, mat[k, cols])
+    best, best_x = vertex(xs, mat, k)
+    if xs is not first[0] and (first_min < best).any():
+        # the widest window's coarse grid missed what the first, finer one found
+        f, x = vertex(*first)
+        better = f < best
+        best, best_x = np.where(better, f, best), np.where(better, x, best_x)
     if not np.all(np.isfinite(best)):
         raise SearchDivergence(f"objective not finite anywhere in ({p0}, {p_max:g}]")
-
-    # the three points are one-sided at the grid ends, so the step is clipped to a cell
-    c = np.clip(k, 1, _GRID - 2)
-    fl, fc, fr = mat[c - 1, cols], mat[c, cols], mat[c + 1, cols]
-    h = xs[1] - xs[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curv = fl - 2.0 * fc + fr
-        vx = xs[c] + np.clip(0.5 * h * (fl - fr) / curv, -h, h)
-        fv = objective(np.exp(vx))
-    better = (curv > 0.0) & (fv < best)
-    best, best_x = np.where(better, fv, best), np.where(better, vx, best_x)
 
     boundary = objective(p0)
     at_p0 = boundary <= best

@@ -152,7 +152,7 @@ def k_linf_lip(v: GridField | Sequence[GridField], t_grid=None) -> KCurve:
     comps = [v] if isinstance(v, GridField) else list(v)
     spacing = comps[0].spacing
     if t_grid is None:
-        t_grid = np.geomspace(spacing, np.pi, 48)
+        t_grid = np.geomspace(spacing, comps[0].domain.side / 2.0, 48)
     t = np.asarray(t_grid, dtype=float)
     k = modulus_of_continuity([c.data for c in comps], spacing, t)
     return KCurve(pair="Linf_W1inf", t_samples=t, k_values=k)

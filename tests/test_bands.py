@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ class TestDecompose:
         xx, _ = grid_xy(n)
         with pytest.warns(AliasRisk):
             decompose(torus_field(np.cos((n // 2 - 1) * xx)))
+
+    def test_alias_report_names_every_offending_band(self):
+        n = 64
+        f = torus_field(np.random.default_rng(6).standard_normal((n, n)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            d = decompose(f)
+        alias = [w for w in caught if issubclass(w.category, AliasRisk)]
+        assert len(alias) == 1
+        # annulus outer radius 7/4 2^j past the Nyquist circle, with content
+        offending = [j for j, b in d.bands if 1.75 * 2.0**j > n / 2 and np.abs(b.data).max() > 0]
+        assert offending
+        assert f"bands j in {offending} " in str(alias[0].message)
 
     def test_inhomogeneous_zero_band(self):
         f = torus_field(rng.standard_normal((64, 64)) + 2.0)

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
+from osgood import biot
 from osgood.biot import biot_savart, curl, czo_gradient, divergence_defect, modulus_envelope
+from osgood.errors import NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
 
@@ -46,3 +50,45 @@ def test_envelope_dominates_measured_modulus():
     scaled = env.fitted_c * env.envelope
     assert np.all(scaled >= env.measured * (1.0 - 1e-12))
     assert np.any(np.isclose(scaled, env.measured, rtol=1e-12))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("domain", [Domain.TORUS_2PI, Domain.UNIT_TORUS])
+def test_velocity_scaling_law(domain, beta):
+    # cos(xi x1) with xi = 2 pi m / side maps to (0, xi^(beta-1) sin(xi x1));
+    # beta = 1 is the SQG velocity, of the same size as the vorticity
+    n, m = 32, 3
+    xi = 2.0 * np.pi * m / domain.side
+    x1 = (np.arange(n) * domain.side / n)[:, None] * np.ones((1, n))
+    v1, v2 = biot_savart(GridField(np.cos(xi * x1), domain), beta)
+    amp = xi ** (beta - 1.0)
+    assert np.abs(v1.data).max() <= 1e-12 * amp
+    assert np.abs(v2.data - amp * np.sin(xi * x1)).max() <= 1e-12 * amp
+
+
+@pytest.mark.parametrize("domain, gain", [(Domain.TORUS_2PI, "64"), (Domain.UNIT_TORUS, "2.53e+03")])
+def test_top_band_gain_warning(domain, gain):
+    # |xi|^(beta-1) at the Nyquist ring |xi| = pi / spacing, here beta = 3, n = 16
+    with pytest.warns(UserWarning, match=re.escape(f"by {gain}") + "$"):
+        biot_savart(GridField(np.zeros((16, 16)), domain), 3.0)
+
+
+def test_envelope_checks_arguments_before_measuring(monkeypatch):
+    def measured(*args, **kwargs):
+        raise AssertionError("modulus measured before the arguments were checked")
+
+    monkeypatch.setattr(biot, "modulus_of_continuity", measured)
+    w = full_spectrum_vorticity(16, seed=4)
+    with pytest.raises(ValueError, match="unknown norm choice"):
+        modulus_envelope(w, 0.0, GrowthFunction.power(1.0, shift=1.0), norm_choice="besov")
+    # Pi(0) = 0 for the unshifted power growth
+    with pytest.raises(NonPositiveArgument):
+        modulus_envelope(w, 0.0, GrowthFunction.power(1.0), norm_choice="vishik")
+
+
+def test_default_h_samples_follow_the_domain():
+    w = full_spectrum_vorticity(16, seed=5)
+    g = GrowthFunction.power(1.0)
+    assert modulus_envelope(w, 0.0, g).h_samples[-1] == np.pi
+    unit = modulus_envelope(w.as_domain(Domain.UNIT_TORUS), 0.0, g)
+    assert unit.h_samples[0] == 1.0 / 16 and unit.h_samples[-1] == 0.5

@@ -263,6 +263,28 @@ class TestTable:
         oracle_val, _ = dense_grid_infimum(g, math.exp(8.0), p_hi=512.0)
         assert ev.value == pytest.approx(oracle_val, rel=1e-4)
 
+    def test_clamped_table_window_reaches_the_infimum(self):
+        # Theta = 40 p on [1, 300], clamped beyond: inf_p Theta(p) r^(1/p) is
+        # 40 e log r while that is below 12000, and the p -> inf limit 12000
+        # after; an interior local minimum must not hide that limit
+        g = GrowthFunction.from_table([1.0, 300.0], [40.0, 12000.0])
+        assert yudovich_eval(g, math.exp(120.0)).value == pytest.approx(12000.0, rel=1e-6)
+        rs = np.exp(np.linspace(105.0, 130.0, 101))
+        scalar = np.array([yudovich_eval(g, r).value for r in rs])
+        vector = yudovich(g, rs)
+        assert np.all(np.diff(scalar) >= 0.0) and np.all(np.diff(vector) >= 0.0)
+        assert np.allclose(vector, scalar, rtol=1e-9, atol=0.0)
+        def exact(r):
+            return np.minimum(40.0 * math.e * np.log(r), 12000.0)
+
+        assert np.allclose(scalar, exact(rs), rtol=1e-9, atol=0.0)
+        # the vector call widens its window for its largest r, and that
+        # window's coarse grid misses the interior minima of the smaller r
+        # (by 8e-9, or 8e-5 near log r = 110.4, where the two nearly tie)
+        # unless the first, finer window's candidates are kept
+        dense = np.exp(np.linspace(105.0, 130.0, 1000))
+        assert np.allclose(yudovich(g, dense), exact(dense), rtol=1e-9, atol=0.0)
+
     def test_bad_tables_rejected(self):
         with pytest.raises(ValueError):
             GrowthFunction.from_table([1.0, 1.0], [1.0, 2.0])

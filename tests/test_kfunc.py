@@ -160,6 +160,12 @@ class TestKLinfLip:
         both = modulus_of_continuity([v1, v2], 2 * np.pi / n, np.array([1.0]))
         assert both[0] == pytest.approx(single[0])
 
+    def test_default_t_grid_follows_the_domain(self):
+        data = np.random.default_rng(8).standard_normal((16, 16))
+        assert k_linf_lip(torus_field(data)).t_samples[-1] == np.pi
+        unit = k_linf_lip(unit_field(data)).t_samples
+        assert unit[0] == 1.0 / 16 and unit[-1] == 0.5
+
     def test_curve_monotone(self):
         v = torus_field(rng.standard_normal((64, 64)))
         curve = k_linf_lip(v)
