@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ from .errors import (
     SearchDivergence,
 )
 
+_GRID, _P_TOP = 4096, 1e12  # the Yudovich search grid, geometric on [p0, _P_TOP]
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """Non-decreasing doubling function on [0, inf) with index p0."""
@@ -34,17 +38,45 @@ class GrowthFunction:
     family: str = "custom"
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.p0) and self.p0 > 0.0):
+            raise NonPositiveArgument(f"p0 must be finite and > 0, got {self.p0}")
+
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
         out = np.asarray(self.fn(p), dtype=float)
         return out if out.shape else float(out)
 
     def log_value(self, p):
-        """log Theta(p); overflow-safe route used by the infimum search."""
-        v = np.asarray(self(p), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.log(v)
+        """log Theta(p), taken under errstate and +inf wherever not finite (Theta
+        overflowing, zero or negative): such p never attain the Yudovich infimum."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.log(np.asarray(self(p), dtype=float))
+        out = np.where(np.isfinite(out), out, np.inf)
         return out if out.shape else float(out)
+
+    @cached_property
+    def _hull(self):
+        """(grid p, log p, log Theta(p), grid indices of the lower convex hull of
+        the points (1/p, log Theta(p)) in ascending 1/p, its edge slopes), built once
+        into the instance dict; replace() and theta1 return new instances."""
+        ps = np.geomspace(self.p0, _P_TOP, _GRID)
+        xs, phi = np.log(ps), self.log_value(ps)
+        s, f = (1.0 / ps).tolist(), phi.tolist()
+        # monotone chain: pop the last vertex while it lies on or above the
+        # chord from its predecessor to the new point
+        hull: list[int] = []
+        for i in range(_GRID - 1, -1, -1):
+            if f[i] == math.inf:
+                continue
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                if (s[b] - s[a]) * (f[i] - f[a]) > (f[b] - f[a]) * (s[i] - s[a]):
+                    break
+                hull.pop()
+            hull.append(i)
+        v = np.array(hull, dtype=int)
+        return ps, xs, phi, v, np.diff(phi[v]) / np.diff(1.0 / ps[v])
 
     # -- constructors ------------------------------------------------------
 
@@ -134,11 +166,19 @@ class GrowthFunction:
         return float(np.nanmax(ratios))
 
 
+_PATHS = ("closed form", "p0 boundary", "grid vertex", "vertex step")
+
+
 @dataclass(frozen=True)
 class YudovichEvaluation:
+    """y(r), the p attaining it, the _PATHS entry that found it, and whether that
+    p is the grid top _P_TOP, where an objective still falling is cut off."""
+
     r: float
     value: float
     argmin_p: float
+    path: str
+    at_grid_top: bool
 
 
 def _with_p0(g: GrowthFunction, p0: float) -> GrowthFunction:
@@ -155,97 +195,68 @@ def theta1(g: GrowthFunction) -> GrowthFunction:
     )
 
 
-_GRID = 1024
+def _legendre(g: GrowthFunction, log_r: np.ndarray):
+    """log y(r), the p attaining it and the index into _PATHS of how it was
+    found, for an array of log r > 0.
 
-
-def _yudovich(g: GrowthFunction, r, p_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """inf over p > p0 of Theta(p) * r**(1/p), and the p attaining it, shaped like r.
-
-    For r <= 1 the map increases in p: the p0 boundary value, in closed form.
-    For r > 1 all entries share one log grid of p on (p0, P], P = max(1e3,
-    10 max log r) unless given, widened tenfold (up to 1e12) while some
-    entry's minimum sits at the edge and still falls, or exceeds Theta(P).
-    The grid minima of the first and the last window, each lowered by one
-    vertex step, and the p0 boundary are the candidates.  The objective is
-    taken in logs, which keeps r up to 1e308 out of the exponent; non-finite
-    values count as +inf.
+    With s = 1/p and phi(s) = log Theta(1/s), log y(r) = min_s phi(s) + s log r
+    is the Legendre transform of phi at -log r.  On a finite point set a linear
+    function is least at a vertex of the lower convex hull, convex phi or not
+    (a point above the hull lies above an edge, least at one of its ends): the
+    vertex whose edge slopes bracket -log r, found by one binary search.  It and
+    its two hull neighbours each take one parabolic vertex step through their
+    grid neighbours, kept where convex and lower, so each value is attained.
     """
+    ps, xs, phi, v, slopes = g._hull
+    if not len(v):
+        raise SearchDivergence(f"objective not finite anywhere in [{g.p0}, {_P_TOP:g}]")
+
+    def objective(k):
+        return phi[k] + log_r / ps[k]
+
+    j = np.searchsorted(slopes, -log_r)
+    k = v[j]
+    best = objective(k)
+    # where the minimising vertex jumps across a non-convex stretch of phi a
+    # neighbour's step can be the lower one; without it y can fall as r grows
+    c = np.clip(v[np.clip(j + np.array([[-1], [0], [1]]), 0, len(v) - 1)], 1, _GRID - 2)
+    fl, fc, fr = objective(c - 1), objective(c), objective(c + 1)
+    h = xs[1] - xs[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curv = fl - 2.0 * fc + fr
+        vx = np.clip(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1], xs[c + 1])
+        fv = g.log_value(np.exp(vx)) + log_r * np.exp(-vx)
+    fv = np.where((curv > 0.0) & (fv < np.inf), fv, np.inf)
+    i, cols = np.argmin(fv, axis=0), np.arange(len(log_r))
+    step = fv[i, cols] < best
+    argmin = np.where(step, np.exp(vx[i, cols]), ps[k])
+    return np.where(step, fv[i, cols], best), argmin, np.where(step, 3, np.where(k == 0, 1, 2))
+
+
+def _yudovich(g: GrowthFunction, r):
+    """y(r), the p attaining it and the _PATHS index, shaped like r; for r <= 1
+    the objective increases in p, so y(r) is the p0 boundary value in closed form."""
     rs = np.asarray(r, dtype=float)
-    if np.any(~(rs > 0.0)):
-        raise NonPositiveArgument(f"r must be > 0, got {r}")
-    p0 = g.p0
-    values = np.empty_like(rs)
-    argmins = np.full_like(rs, p0)
+    if np.any(~(rs > 0.0) | (rs == np.inf)):
+        raise NonPositiveArgument(f"r must be finite and > 0, got {r}")
+    values, argmins, path = np.empty_like(rs), np.full_like(rs, g.p0), np.zeros(rs.shape, dtype=int)
     big = rs > 1.0
-    values[~big] = float(g(p0)) * rs[~big] ** (1.0 / p0)
-    if not big.any():
-        return values, argmins
-
-    log_r = np.log(rs[big])
-    if p_max is None:
-        p_max = max(1e3, 10.0 * float(log_r.max()))
-    cols = np.arange(len(log_r))
-
-    def objective(p):
-        out = g.log_value(p) + log_r / p
-        return np.where(np.isfinite(out), out, np.inf)
-
-    def window(p_max):
-        xs = np.linspace(math.log(p0 * (1.0 + 1e-12)), math.log(p_max), _GRID)
-        mat = objective(np.exp(xs)[:, None])
-        return xs, mat, np.argmin(mat, axis=0)
-
-    def vertex(xs, mat, k):
-        """Each entry's grid minimum and its log p, moved to the vertex of the parabola
-        through it and its neighbours where they are convex and the vertex is lower."""
-        best, best_x = mat[k, cols], xs[k]
-        # the three points are one-sided at the grid ends, so the step is clipped to a cell
-        c = np.clip(k, 1, _GRID - 2)
-        fl, fc, fr = mat[c - 1, cols], mat[c, cols], mat[c + 1, cols]
-        h = xs[1] - xs[0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            curv = fl - 2.0 * fc + fr
-            vx = xs[c] + np.clip(0.5 * h * (fl - fr) / curv, -h, h)
-            fv = objective(np.exp(vx))
-        better = (curv > 0.0) & (fv < best)
-        return np.where(better, fv, best), np.where(better, vx, best_x)
-
-    first = xs, mat, k = window(p_max)
-    low = first_min = mat[k, cols]
-    while p_max < 1e12:
-        with np.errstate(invalid="ignore"):
-            still_falling = (k == _GRID - 1) & (mat[-1] - mat[_GRID // 2] < -1e-13)
-        # past the edge P the objective exceeds log Theta(P), read off any entry
-        if not (still_falling.any() or mat[-1, 0] - log_r[0] / p_max < low.max()):
-            break
-        p_max *= 10.0
-        xs, mat, k = window(p_max)
-        low = np.minimum(low, mat[k, cols])
-    best, best_x = vertex(xs, mat, k)
-    if xs is not first[0] and (first_min < best).any():
-        # the widest window's coarse grid missed what the first, finer one found
-        f, x = vertex(*first)
-        better = f < best
-        best, best_x = np.where(better, f, best), np.where(better, x, best_x)
-    if not np.all(np.isfinite(best)):
-        raise SearchDivergence(f"objective not finite anywhere in ({p0}, {p_max:g}]")
-
-    boundary = objective(p0)
-    at_p0 = boundary <= best
-    values[big] = np.exp(np.where(at_p0, boundary, best))
-    argmins[big] = np.where(at_p0, p0, np.exp(best_x))
-    return values, argmins
+    values[~big] = float(g(g.p0)) * rs[~big] ** (1.0 / g.p0)
+    if big.any():
+        log_y, argmins[big], path[big] = _legendre(g, np.log(rs[big]))
+        values[big] = np.exp(log_y)
+    return values, argmins, path
 
 
-def yudovich_eval(g: GrowthFunction, r: float, p_max: float | None = None) -> YudovichEvaluation:
-    """y(r) for one r, with the p attaining it; p_max sets the first window."""
-    values, argmins = _yudovich(g, float(r), p_max)
-    return YudovichEvaluation(r=r, value=float(values), argmin_p=float(argmins))
+def yudovich_eval(g: GrowthFunction, r: float) -> YudovichEvaluation:
+    """y(r) for one r, with the p attaining it and how it was found."""
+    values, argmins, path = _yudovich(g, float(r))
+    return YudovichEvaluation(r, float(values), float(argmins), _PATHS[int(path)], bool(argmins == _P_TOP))
 
 
 def yudovich(g: GrowthFunction, r):
     """y(r) elementwise: a float for scalar r, an array shaped like r otherwise."""
-    values, _ = _yudovich(g, r)
+    values = _yudovich(g, r)[0]
     return values if values.ndim else float(values)
 
 

@@ -54,19 +54,6 @@ class NormReport:
                     )
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "direct_value": self.direct_value,
-            "char_k": self.char_k,
-            "char_rearr": self.char_rearr,
-            "char_rearr_star": self.char_rearr_star,
-            "char_small_t": self.char_small_t,
-            "resolution": self.resolution,
-            "ratios": self.ratios,
-            **{k: v for k, v in self.params.items()},
-        }
-
 
 def yudovich_norm(
     f: GridField,

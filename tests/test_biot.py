@@ -92,3 +92,23 @@ def test_default_h_samples_follow_the_domain():
     assert modulus_envelope(w, 0.0, g).h_samples[-1] == np.pi
     unit = modulus_envelope(w.as_domain(Domain.UNIT_TORUS), 0.0, g)
     assert unit.h_samples[0] == 1.0 / 16 and unit.h_samples[-1] == 0.5
+
+
+def log_patch(n, alpha):
+    """|log rho|^(1 + alpha) about the centre of the 2 pi torus, rho floored at
+    half a cell (the centre is a grid point), mean removed."""
+    x = np.arange(n) * (2.0 * np.pi / n)
+    rho = np.hypot(x[:, None] - np.pi, x[None, :] - np.pi)
+    w = np.abs(np.log(np.maximum(rho, np.pi / n))) ** (1.0 + alpha)
+    return GridField(w - w.mean(), Domain.TORUS_2PI)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_envelope_constant_settles_under_refinement(alpha):
+    # the velocity modulus is at most C h y(1/h) ||omega|| with C independent
+    # of the grid: the fitted constant for Theta = p^alpha changes by less than
+    # 6 % per doubling of n, and by less at the second doubling than the first
+    c = [modulus_envelope(log_patch(n, alpha), 0.0, GrowthFunction.power(alpha)).fitted_c for n in (32, 64, 128)]
+    first, second = abs(c[1] / c[0] - 1.0), abs(c[2] / c[1] - 1.0)
+    assert first < 0.06 and second < 0.06
+    assert second < first
