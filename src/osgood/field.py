@@ -144,40 +144,36 @@ class RearrangementProfile:
         return out if out.shape else float(out)
 
     def lp(self, p: float) -> float:
-        """L^p norm of f*, max-scaled like lp_norm (values[0] is the max):
-        finite and nonzero for any finite, nonzero field at any p."""
-        m = float(self.values[0]) if len(self.values) else 0.0
-        return _max_scaled_lp(self.values, m, p, self.cell_measure)
+        """L^p norm of f*, p in [1, inf], as m (sum (v/m)^p cell)^(1/p) with
+        m = v[0]: each term lies in [0, 1] and the first is 1, so nothing
+        overflows or underflows at any p.  Only the head of v is summed, the
+        values at or above m (2^-53 / N)^(1/p) for N samples: each term left
+        out is below 2^-53 / N, so together they are under half an ulp of a
+        sum that is at least 1.  At high p the head is a few cells.
+        """
+        if p != np.inf and p < 1.0:
+            raise InvalidExponent(f"p must be in [1, inf], got {p}")
+        v = self.values
+        m = float(v[0]) if len(v) else 0.0
+        if p == np.inf or m == 0.0:
+            return m
+        cut = m * (2.0 ** -53 / len(v)) ** (1.0 / p)
+        k = len(v) - int(np.searchsorted(v[::-1], cut, side="left"))
+        scaled = v[:k] / m
+        np.power(scaled, p, out=scaled)
+        return float(m * (scaled.sum() * self.cell_measure) ** (1.0 / p))
 
 
 def rearrange(f: GridField) -> RearrangementProfile:
     return RearrangementProfile.of(f)
 
 
-def _max_scaled_lp(a: np.ndarray, m: float, p: float, cell: float) -> float:
-    """m * (sum((a/m)^p) * cell)^(1/p) for samples a >= 0 with maximum m.
-
-    Every scaled term lies in [0, 1] and at least one equals 1, so the sum
-    neither overflows nor underflows at any p; m = 0 gives exactly 0.
-    """
-    if p == np.inf or m == 0.0:
-        return m
-    scaled = a / m
-    np.power(scaled, p, out=scaled)
-    return float(m * (scaled.sum() * cell) ** (1.0 / p))
-
-
 def lp_norm(f: GridField, p: float) -> float:
-    """Cell-measure-weighted L^p norm; p = inf gives max |sample|.
-
-    The power sum is taken of |f| / max|f|, so the result is finite and
-    nonzero for any finite, nonzero field at any p (even p = 512, where the
-    unscaled sum overflows once max|f| > 4).
+    """Cell-measure-weighted L^p norm, rearrange(f).lp(p): its power sum
+    of |f| / max|f| leaves out the terms below 2^-53 / N, under half an ulp
+    in all.  p = inf gives max |f|.
     """
-    if p != np.inf and p < 1.0:
-        raise InvalidExponent(f"p must be in [1, inf], got {p}")
-    a = np.abs(f.data)
-    return _max_scaled_lp(a, float(a.max()), p, f.cell_measure)
+    return rearrange(f).lp(p)
 
 
 # -- dyadic cube hierarchy ---------------------------------------------------
@@ -212,12 +208,25 @@ def _cube_shifts(n: int, side: int):
     return [(0, 0), (h, 0), (0, h), (h, h)]
 
 
-def _scatter_blocks(per_block: np.ndarray, side: int, shift, out: np.ndarray):
-    """max-accumulate per-cube values onto the cells of each cube."""
-    expanded = np.kron(per_block, np.ones((side, side)))
-    if shift != (0, 0):
-        expanded = np.roll(expanded, shift=shift, axis=(0, 1))
-    np.maximum(out, expanded, out=out)
+def _cubes(f: GridField, stat, min_side: int):
+    """(side, shift, stat of every cube of that family) over the cube family,
+    coarse to fine; entry (i, j) is the cube anchored at shift + side (i, j)."""
+    n = f.n
+    for side in reversed(cube_levels(n, min_side=min_side)):
+        for shift in _cube_shifts(n, side):
+            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
+            yield side, shift, stat(_block_view(rolled, side))
+
+
+def _spread(a: np.ndarray, m: int) -> np.ndarray:
+    """The k x k array a on an m x m grid, each entry over an (m/k)-square."""
+    k = a.shape[0]
+    r = m // k
+    if r == 1:
+        return a
+    out = np.empty((m, m))
+    out.reshape(k, r, k, r)[...] = a[:, None, :, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,14 +239,24 @@ class SharpMaximalField:
 
 def _cube_sweep(f: GridField, stat, min_side: int) -> GridField:
     """For each cell, the max of stat(samples of Q) over the dyadic cubes Q
-    containing it; stat maps (b, b, side*side) blocks to (b, b) values."""
+    containing it; stat maps (b, b, side*side) blocks to (b, b) values.
+
+    Each level is accumulated on its grid of half-side cells, where every
+    cube, aligned or shifted by half a side, is a 2 x 2 block: a 2x spread
+    and a one-cell roll of a small array.  The running maximum is spread 2x
+    to each finer level, and the n x n output is written once, from the
+    finest grid.  Only maxima are taken, so no bit depends on the order.
+    """
     n = f.n
-    out = np.zeros_like(f.data)
-    for side in cube_levels(n, min_side=min_side):
-        for shift in _cube_shifts(n, side):
-            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
-            _scatter_blocks(stat(_block_view(rolled, side)), side, shift, out)
-    return GridField(out, f.domain)
+    acc = np.zeros((1, 1))
+    for side, shift, values in _cubes(f, stat, min_side):
+        cell = max(side // 2, 1)
+        acc = _spread(acc, n // cell)
+        cubes = _spread(values, n // cell)
+        if shift != (0, 0):
+            cubes = np.roll(cubes, (shift[0] // cell, shift[1] // cell), axis=(0, 1))
+        np.maximum(acc, cubes, out=acc)
+    return GridField(_spread(acc, n), f.domain)
 
 
 def _trimmed_oscillation(blocks: np.ndarray, lam: float) -> np.ndarray:
@@ -281,7 +300,10 @@ def fefferman_stein_sharp(f: GridField, min_side: int = 4) -> GridField:
 
 
 def dyadic_bmo_norm(f: GridField, min_side: int = 4) -> float:
-    return float(fefferman_stein_sharp(f, min_side=min_side).data.max())
+    """The (dyadic) BMO norm: the largest mean oscillation avg_Q |f - avg_Q f|
+    over the cube family, which is the maximum of fefferman_stein_sharp, taken
+    straight from the per-cube values with no n x n field built."""
+    return float(max((v.max() for _, _, v in _cubes(f, _mean_oscillation, min_side)), default=0.0))
 
 
 # -- field I/O ----------------------------------------------------------------

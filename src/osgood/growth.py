@@ -30,7 +30,8 @@ _GRID, _P_TOP = 4096, 1e12  # the Yudovich search grid, geometric on [p0, _P_TOP
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """Non-decreasing doubling function on [0, inf) with index p0."""
+    """Non-decreasing doubling function on [0, inf) with index p0, positive
+    at p0."""
 
     name: str
     p0: float
@@ -41,6 +42,11 @@ class GrowthFunction:
     def __post_init__(self):
         if not (math.isfinite(self.p0) and self.p0 > 0.0):
             raise NonPositiveArgument(f"p0 must be finite and > 0, got {self.p0}")
+        # Theta(p0) = +inf passes: the search reports an objective finite nowhere
+        with np.errstate(all="ignore"):
+            theta0 = self(self.p0)
+        if not theta0 > 0.0:
+            raise NonPositiveArgument(f"Theta(p0) must be > 0, got {theta0} at p0 = {self.p0}")
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)

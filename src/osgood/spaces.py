@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridField, lp_norm, rearrange, sharp_maximal
+from .field import GridField, rearrange, sharp_maximal
 from .growth import GrowthFunction, _with_p0, yudovich
 from .kfunc import default_t_grid, extrapolation_sup, k_lp_linf_profile
 
@@ -71,7 +71,7 @@ def yudovich_norm(
         p_grid = default_p_grid(p0)
     prof = rearrange(f)
     direct = max(
-        (lp_norm(f, float(p)) / float(g(float(p))) for p in p_grid), default=0.0
+        (prof.lp(float(p)) / float(g(float(p))) for p in p_grid), default=0.0
     )
 
     ts = np.geomspace(max(prof.cell_measure / 4.0, 1e-14), 1.0 - 1e-9, 160)
@@ -113,7 +113,7 @@ def sharp_yudovich_norm(
     sm = sharp_maximal(f, lam).result
     prof = rearrange(sm)
     direct = max(
-        (lp_norm(sm, float(p)) / float(g(float(p))) for p in p_grid), default=0.0
+        (prof.lp(float(p)) / float(g(float(p))) for p in p_grid), default=0.0
     )
 
     ts = _small_t_grid(prof.cell_measure)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osgood.errors import InvalidExponent, InvalidLambda
 from osgood.field import (
     Domain,
     GridField,
     cube_levels,
+    _block_view,
     _cube_shifts,
+    _mean_oscillation,
+    _trimmed_oscillation,
     dyadic_bmo_norm,
     fefferman_stein_sharp,
     lp_norm,
@@ -18,6 +23,9 @@ from osgood.field import (
     write_field_binary,
     write_field_csv,
 )
+from osgood.growth import GrowthFunction
+from osgood.kfunc import default_t_grid, k_lp_linf_profile
+from osgood.spaces import default_p_grid, sharp_yudovich_norm, yudovich_norm
 
 rng = np.random.default_rng(2024)
 
@@ -328,3 +336,105 @@ class TestDomainConversion:
     def test_mean_removed_flag_validated(self):
         with pytest.raises(ValueError):
             GridField(np.ones((8, 8)), Domain.UNIT_TORUS, mean_removed=True)
+
+
+# -- exactness gate: the full power sum and the n x n scatter sweep ------------
+#
+# Reference copies of the straightforward forms: the max-scaled power sum over
+# every sample, unsorted and untruncated, and the cube sweep that spreads each
+# cube family over the n x n grid with np.kron and np.roll.  The sorted,
+# truncated sum must agree to rel 1e-15, and the sweeps, which take maxima
+# only, bit for bit.
+
+def full_sum_lp(f, p):
+    a = np.abs(f.data)
+    m = float(a.max())
+    if p == np.inf or m == 0.0:
+        return m
+    scaled = a / m
+    np.power(scaled, p, out=scaled)
+    return float(m * (scaled.sum() * f.cell_measure) ** (1.0 / p))
+
+
+def scatter_cube_sweep(f, stat, min_side=4):
+    n = f.n
+    out = np.zeros_like(f.data)
+    for side in cube_levels(n, min_side=min_side):
+        for shift in _cube_shifts(n, side):
+            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
+            expanded = np.kron(stat(_block_view(rolled, side)), np.ones((side, side)))
+            if shift != (0, 0):
+                expanded = np.roll(expanded, shift=shift, axis=(0, 1))
+            np.maximum(out, expanded, out=out)
+    return out
+
+
+GATE_NS = (8, 16, 32, 64, 128, 256, 512)
+GATE_SCALES = (1e-3, 1.0, 30.0)
+GATE_PS = sorted({*default_p_grid(1.0), *default_p_grid(4.0), 1.0, 2.0, 512.0, 1e4})
+GATE_LAMS = (0.01, 0.25, 0.5)
+
+
+def gate_field(n, scale):
+    """A log^2 singularity plus noise, mean removed, with max |f| = scale."""
+    data = log_power_field(n).data + 0.1 * np.random.default_rng(n).standard_normal((n, n))
+    data -= data.mean()
+    return unit_field(data * (scale / np.abs(data).max()))
+
+
+@pytest.mark.parametrize("n", GATE_NS)
+class TestExactnessGate:
+    def test_lp_matches_full_sum(self, n):
+        for scale in GATE_SCALES:
+            f = gate_field(n, scale)
+            prof = rearrange(f)
+            for p in GATE_PS:
+                ref = full_sum_lp(f, p)
+                assert lp_norm(f, p) == pytest.approx(ref, rel=1e-15, abs=0.0)
+                assert prof.lp(p) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    def test_cube_sweeps_bit_identical(self, n):
+        # the singular field oscillates most on small cubes, the two modes on
+        # the full square
+        x = np.arange(n) / n
+        modes = unit_field(np.add.outer(np.cos(2 * np.pi * x), 0.5 * np.cos(2 * np.pi * x + 1.0)))
+        for f in [gate_field(n, scale) for scale in GATE_SCALES] + [modes]:
+            for lam in GATE_LAMS:
+                ref = scatter_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam))
+                assert np.array_equal(sharp_maximal(f, lam).result.data, ref)
+            ref = scatter_cube_sweep(f, _mean_oscillation)
+            assert np.array_equal(fefferman_stein_sharp(f).data, ref)
+            assert dyadic_bmo_norm(f) == ref.max()
+
+
+@pytest.mark.parametrize("n", GATE_NS[:4])
+def test_report_direct_values_match_full_sums(n):
+    g = GrowthFunction.power(0.5)
+    for scale in GATE_SCALES:
+        f = gate_field(n, scale)
+        sm = unit_field(scatter_cube_sweep(f, lambda b: _trimmed_oscillation(b, 0.25)))
+        for rep, base, p0 in ((yudovich_norm(f, g), f, 1.0), (sharp_yudovich_norm(f, g), sm, 4.0)):
+            ref = max(full_sum_lp(base, p) / g(p) for p in default_p_grid(p0))
+            assert rep.direct_value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+# -- properties of the sorted profile --------------------------------------------
+
+sizes = st.sampled_from((8, 16, 32))
+seeds = st.integers(0, 2**32 - 1)
+amplitudes = st.floats(1e-3, 1e3)
+
+
+class TestProfileProperties:
+    @given(sizes, seeds, amplitudes, st.integers(0, 31), st.integers(0, 31))
+    def test_distribution_kept_and_shift_invariant(self, n, seed, c, a, b):
+        data = c * np.random.default_rng(seed).standard_normal((n, n))
+        prof = rearrange(unit_field(data))
+        assert np.array_equal(prof.values, np.sort(np.abs(data), axis=None)[::-1])
+        shifted = rearrange(unit_field(np.roll(data, (a, b), axis=(0, 1))))
+        assert np.array_equal(shifted.values, prof.values)
+
+    @given(sizes, seeds, amplitudes)
+    def test_p0_1_k_curve_is_exactly_concave(self, n, seed, c):
+        prof = rearrange(unit_field(c * np.random.default_rng(seed).standard_normal((n, n))))
+        k_lp_linf_profile(prof, 1.0, default_t_grid()).check_shape(concave_slack=0.0)

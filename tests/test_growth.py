@@ -79,6 +79,16 @@ class TestYudovichEval:
         with pytest.raises(NonPositiveArgument):
             GrowthFunction.from_table([1.0, 2.0], [1.0, 2.0], p0=p0)
 
+    @pytest.mark.parametrize("g", [
+        lambda: GrowthFunction.log_power(0.0, (1.0,), p0=1.0),
+        lambda: GrowthFunction.constant(0.0),
+        lambda: GrowthFunction.from_callable("nan", lambda p: np.full_like(p, np.nan)),
+    ], ids=["log p at 1", "zero", "nan"])
+    def test_growth_must_be_positive_at_its_index(self, g):
+        # log p at p0 = 1 has y = 0 for r > 1, which the search cannot resolve
+        with pytest.raises(NonPositiveArgument):
+            g()
+
     def test_path_and_grid_top(self):
         # Theta = 1 gives r^(1/p), still falling at the grid top; p * r^(1/p)
         # is least at p = log r inside the grid; p^2 * 1.5^(1/p) is least
@@ -178,7 +188,7 @@ def growths():
 
 
 log_rs = st.lists(st.floats(-5.0, 690.0), min_size=1, max_size=24)
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+PROPERTY = settings.get_profile("osgood")
 # the grid minimum obeys both laws up to rounding; the vertex steps lower it by
 # at most the grid's interpolation error, and where the minimising hull vertex
 # switches the steps taken change, so the laws hold to this relative slack

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm
 from osgood.growth import GrowthFunction
@@ -134,3 +136,20 @@ class TestEmbeddingGap:
         for key in reps[256].ratios:
             drift = reps[512].ratios[key] / reps[256].ratios[key]
             assert 0.75 < drift < 1.25
+
+
+FORMS = ("direct_value", "char_k", "char_rearr", "char_rearr_star", "char_small_t")
+
+
+class TestNormProperties:
+    @given(
+        st.sampled_from((8, 16)), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
+        st.sampled_from((CONST, LINEAR, QUADRATIC)),
+    )
+    def test_every_form_is_homogeneous(self, n, seed, c, g):
+        f = random_field(n, seed)
+        scaled = unit_field(c * f.data)
+        for norm in (yudovich_norm, sharp_yudovich_norm):
+            a, b = norm(f, g), norm(scaled, g)
+            for form in FORMS:
+                assert getattr(b, form) == pytest.approx(c * getattr(a, form), rel=1e-12)
