@@ -216,7 +216,7 @@ def thmve_equivalence_report(
     t_lo = 2.0 ** (-(j_max + 3) * kappa)
     ts = np.geomspace(t_lo, 8.0, 96)
     ys = yudovich(g, 1.0 / ts)
-    ks = np.array([k_seq(seq, beta - kappa, beta, float(t)) for t in ts])
+    ks = k_seq(seq, beta - kappa, beta, ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = ks / (ts * ys)
     vals = vals[np.isfinite(vals)]

@@ -26,6 +26,12 @@ from .errors import (
 )
 
 _GRID, _P_TOP = 4096, 1e12  # the Yudovich search grid, geometric on [p0, _P_TOP]
+# the Osgood march: at most _DECADES decades of _NODES Gauss-Legendre nodes;
+# Divergent once the partial integral passes _DIVERGE_AT with an increment of at
+# least _DIVERGE_INC, Convergent once an increment falls below _CAUCHY_TOL, and
+# tail increments fitted to c * k^(-q) read as divergent for q <= _TAIL_CUT
+_DECADES, _NODES = 280, 32
+_DIVERGE_AT, _DIVERGE_INC, _CAUCHY_TOL, _TAIL_CUT = 50.0, 0.01, 1e-9, 1.5
 
 
 @dataclass(frozen=True)
@@ -463,81 +469,62 @@ class OsgoodSpec:
             raise InvalidModulus("modulus must be non-decreasing on samples")
 
 
-@dataclass(frozen=True)
-class QuadratureBudget:
-    max_decades: int = 280
-    points_per_decade: int = 32
-    divergence_threshold: float = 50.0
-    divergence_increment: float = 0.01
-    convergence_tol: float = 1e-9
-    # tail increments fitted to c * k^(-q): q below this reads as divergent
-    tail_exponent_cut: float = 1.5
+_EXITS = ("divergence threshold", "Cauchy stop", "tail fit", "non-finite increment", "decades exhausted")
 
 
 @dataclass(frozen=True)
 class OsgoodResult:
+    """The verdict, the partial integral, and the _EXITS entry naming the rule
+    that decided it; an Inconclusive march names why it stopped."""
+
     verdict: OsgoodVerdict
     partial_integral: float
     trace: np.ndarray          # rows (decade index, left endpoint, increment, partial sum)
+    exit: str
     tail_exponent: float | None = None
 
 
-def osgood_test(spec: OsgoodSpec, budget: QuadratureBudget = QuadratureBudget()) -> OsgoodResult:
+def osgood_test(spec: OsgoodSpec) -> OsgoodResult:
     """Integrate the Osgood integrand decade by decade toward the singular end.
 
+    One march serves both ends: with r = e^x it integrates r / L(r) dx down
+    from x = log epsilon_L toward zero, or dx / y(r) up from x = 0 toward
+    infinity, one modulus call per decade, for at most _DECADES decades and
+    none past x = -700, where e^x would underflow.
     Divergent when the partial integral passes the divergence threshold while
     still growing, Convergent when per-decade increments Cauchy-stabilize.
-    When neither fast exit fires within the float-representable decades, the
-    tail increments are fitted to c * k^(-q); q <= 1 means a divergent tail
-    (harmonic or slower decay), q safely above 1 a summable one.  The verdict
-    is a documented heuristic: quadrature alone cannot decide divergence.
+    When neither fast exit fires within the march, the tail increments are
+    fitted to c * k^(-q); q <= _TAIL_CUT reads as a divergent tail, q above
+    it as a summable one.  The verdict is a documented heuristic: quadrature
+    alone cannot decide divergence.
     """
     spec.validate()
-    nodes, weights = np.polynomial.legendre.leggauss(budget.points_per_decade)
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
     ln10 = math.log(10.0)
+    zero = spec.orientation is OsgoodOrientation.ZERO_END
+    x0, step = (math.log(spec.epsilon_L), -ln10) if zero else (0.0, ln10)
 
-    if spec.orientation is OsgoodOrientation.ZERO_END:
-        # substitute r = e^x: integral of e^x / L(e^x) dx, decades marching down
-        x_start = math.log(spec.epsilon_L)
-
-        def decade_increment(k: int) -> float:
-            b = x_start - k * ln10
-            a = b - ln10
-            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            r = np.exp(x)
-            vals = r / np.asarray(spec.modulus(r), dtype=float)
-            return float(0.5 * (b - a) * np.sum(weights * vals))
-
-        left_endpoint = lambda k: math.exp(x_start - (k + 1) * ln10)
-        max_decades = min(budget.max_decades, int((x_start + 700.0) / ln10))
-    else:
-        # integral of dr / (r y(r)) = integral of dx / y(e^x) upward from r=1
-        def decade_increment(k: int) -> float:
-            a = k * ln10
-            b = a + ln10
-            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            vals = 1.0 / np.asarray(spec.modulus(np.exp(x)), dtype=float)
-            return float(0.5 * (b - a) * np.sum(weights * vals))
-
-        left_endpoint = lambda k: math.exp((k + 1) * ln10)
-        max_decades = min(budget.max_decades, 300)
-
-    rows = []
-    total = 0.0
-    increments = []
-    verdict = None
-    for k in range(max_decades):
-        inc = decade_increment(k)
+    rows, increments, total = [], [], 0.0
+    verdict, stop = None, _EXITS[4]
+    for k in range(min(_DECADES, int((x0 + 700.0) / ln10))):
+        a = x0 + k * step
+        b = a + step
+        w = 0.5 * abs(b - a)  # the decade from x = a to x = b, half-width w
+        r = np.exp(w * nodes + 0.5 * (a + b))
+        vals = np.asarray(spec.modulus(r), dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inc = float(w * np.sum(weights * ((r if zero else 1.0) / vals)))
         if not math.isfinite(inc):
+            stop = _EXITS[3]
             break
         total += inc
         increments.append(inc)
-        rows.append((k, left_endpoint(k), inc, total))
-        if total > budget.divergence_threshold and inc >= budget.divergence_increment:
-            verdict = OsgoodVerdict.DIVERGENT
+        rows.append((k, math.exp(x0 + (k + 1) * step), inc, total))
+        if total > _DIVERGE_AT and inc >= _DIVERGE_INC:
+            verdict, stop = OsgoodVerdict.DIVERGENT, _EXITS[0]
             break
-        if k >= 4 and inc < budget.convergence_tol and inc <= increments[-2]:
-            verdict = OsgoodVerdict.CONVERGENT
+        if k >= 4 and inc < _CAUCHY_TOL and inc <= increments[-2]:
+            verdict, stop = OsgoodVerdict.CONVERGENT, _EXITS[1]
             break
 
     trace = np.array(rows, dtype=float)
@@ -549,13 +536,14 @@ def osgood_test(spec: OsgoodSpec, budget: QuadratureBudget = QuadratureBudget())
         if np.all(inc_arr > 0):
             coef = np.polyfit(np.log(ks[half:]), np.log(inc_arr), 1)
             tail_q = float(-coef[0])
-            if tail_q <= budget.tail_exponent_cut:
+            if tail_q <= _TAIL_CUT:
                 verdict = OsgoodVerdict.DIVERGENT
             else:
                 verdict = OsgoodVerdict.CONVERGENT
+            stop = _EXITS[2]
     if verdict is None:
         verdict = OsgoodVerdict.INCONCLUSIVE
-    return OsgoodResult(verdict=verdict, partial_integral=total, trace=trace, tail_exponent=tail_q)
+    return OsgoodResult(verdict=verdict, partial_integral=total, trace=trace, exit=stop, tail_exponent=tail_q)
 
 
 def osgood_from_growth(

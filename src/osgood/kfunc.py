@@ -160,18 +160,21 @@ def k_linf_lip(v: GridField | Sequence[GridField], t_grid=None) -> KCurve:
 
 # -- sequence pair (exact) ------------------------------------------------------
 
-def k_seq(seq: BandSequence, s0: float, s1: float, t: float) -> float:
+def k_seq(seq: BandSequence, s0: float, s1: float, t):
     """Exact K for weighted little-l1 direct sums:
-    sum_j min(2^(j s0), t 2^(j s1)) ||f_j||."""
+    sum_j min(2^(j s0), t 2^(j s1)) ||f_j||; a float for scalar t, an array
+    shaped like t otherwise."""
     if not seq.entries:
         raise EmptySequence("band sequence has no entries")
     if not s0 < s1:
         raise ValueError("need s0 < s1")
     js, norms = seq.js, seq.norms
-    return float(np.sum(np.minimum(2.0 ** (js * s0), t * 2.0 ** (js * s1)) * norms))
+    t = np.asarray(t, dtype=float)[..., None]
+    out = np.sum(np.minimum(2.0 ** (js * s0), t * 2.0 ** (js * s1)) * norms, axis=-1)
+    return out if out.ndim else float(out)
 
 
-def k_seq_kappa(seq: BandSequence, beta: float, kappa: float, t: float) -> float:
+def k_seq_kappa(seq: BandSequence, beta: float, kappa: float, t):
     """k_seq in its (beta, kappa) form, s0 = beta - kappa, s1 = beta:
     sum_j min(1, 2^(j kappa) t) 2^(j (beta-kappa)) ||f_j||; needs kappa > 0."""
     return k_seq(seq, beta - kappa, beta, t)
@@ -179,8 +182,7 @@ def k_seq_kappa(seq: BandSequence, beta: float, kappa: float, t: float) -> float
 
 def k_seq_curve(seq: BandSequence, s0: float, s1: float, t_grid) -> KCurve:
     t = np.asarray(t_grid, dtype=float)
-    k = np.array([k_seq(seq, s0, s1, float(x)) for x in t])
-    return KCurve(pair=f"Seq(s0={s0:g},s1={s1:g})", t_samples=t, k_values=k)
+    return KCurve(pair=f"Seq(s0={s0:g},s1={s1:g})", t_samples=t, k_values=k_seq(seq, s0, s1, t))
 
 
 # -- extrapolation supremum -------------------------------------------------------

@@ -11,7 +11,7 @@ from osgood.growth import (
     OsgoodOrientation,
     OsgoodSpec,
     OsgoodVerdict,
-    QuadratureBudget,
+    _EXITS,
     lemma1_ratio_scan,
     osgood_from_growth,
     osgood_test,
@@ -309,10 +309,157 @@ class TestOsgood:
         with pytest.raises(InvalidModulus):
             osgood_test(OsgoodSpec(modulus=lambda r: 1.0 / (1.0 + r), epsilon_L=1.0))
 
-    def test_budget_is_respected(self):
-        spec = OsgoodSpec(modulus=lambda r: r, epsilon_L=1.0)
-        out = osgood_test(spec, QuadratureBudget(max_decades=5, divergence_threshold=1e9))
-        assert len(out.trace) == 5
+    def test_zero_end_stops_before_underflow(self):
+        # no early exit: the march runs until e^x would underflow, log 1e-30
+        # + 274 decades = log 1e-304, and the tail fit decides
+        eps = 1e-30
+        out = osgood_test(OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r), epsilon_L=eps))
+        assert len(out.trace) == int((math.log(eps) + 700.0) / math.log(10.0)) == 274
+        assert out.trace[-1, 1] == pytest.approx(1e-304, rel=1e-12)
+        assert out.exit == "tail fit" and out.tail_exponent is not None
+
+    def test_infinity_end_runs_280_decades(self):
+        spec = OsgoodSpec(modulus=lambda r: np.log1p(r) ** 2, orientation=OsgoodOrientation.INFINITY_END)
+        out = osgood_test(spec)
+        assert len(out.trace) == 280 and out.trace[-1, 1] == pytest.approx(1e280, rel=1e-12)
+        assert out.verdict is OsgoodVerdict.CONVERGENT and out.exit == "tail fit"
+
+
+def _nan_below(cut, value=np.nan):
+    """r log(1/r), replaced by value below r = cut."""
+    def modulus(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < cut, value, r * np.log(1.0 / r))
+
+    return modulus
+
+
+class TestOsgoodExit:
+    @pytest.mark.parametrize("spec, verdict, reason", [
+        (OsgoodSpec(modulus=lambda r: r), OsgoodVerdict.DIVERGENT, "divergence threshold"),
+        (OsgoodSpec(modulus=np.sqrt), OsgoodVerdict.CONVERGENT, "Cauchy stop"),
+        (OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r), epsilon_L=1e-30), OsgoodVerdict.DIVERGENT, "tail fit"),
+        (OsgoodSpec(modulus=_nan_below(1e-12), epsilon_L=0.3), OsgoodVerdict.INCONCLUSIVE, "non-finite increment"),
+        # a modulus that vanishes divides by zero: no RuntimeWarning, the same exit
+        (OsgoodSpec(modulus=_nan_below(1e-12, 0.0), epsilon_L=0.3), OsgoodVerdict.INCONCLUSIVE,
+         "non-finite increment"),
+        # e^x underflows after 4 decades below 1e-300, too few for a tail fit
+        (OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-300), OsgoodVerdict.INCONCLUSIVE, "decades exhausted"),
+    ], ids=["linear", "sqrt", "r log", "nan below 1e-12", "zero below 1e-12", "from 1e-300"])
+    def test_exit_names_the_deciding_rule(self, spec, verdict, reason):
+        out = osgood_test(spec)
+        assert out.exit in _EXITS
+        assert (out.verdict, out.exit) == (verdict, reason)
+
+    def test_non_finite_increment_ends_the_march(self):
+        out = osgood_test(OsgoodSpec(modulus=_nan_below(1e-12), epsilon_L=0.3))
+        # 11 decades from 0.3 reach 3e-12; the next one holds nan
+        assert len(out.trace) == 11 and out.trace[-1, 1] == pytest.approx(3e-12, rel=1e-12)
+        assert out.partial_integral == out.trace[-1, 3] and out.tail_exponent is None
+
+
+def _two_branch_osgood(spec):
+    """The former march, one branch per end, with its default budget: 280
+    decades, 32 nodes, 50 / 0.01 divergence exit, 1e-9 Cauchy tolerance and
+    1.5 tail cut.  Returns (verdict, partial integral, trace, tail exponent)."""
+    spec.validate()
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    ln10 = math.log(10.0)
+    if spec.orientation is OsgoodOrientation.ZERO_END:
+        x_start = math.log(spec.epsilon_L)
+
+        def decade_increment(k):
+            b = x_start - k * ln10
+            a = b - ln10
+            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            r = np.exp(x)
+            vals = r / np.asarray(spec.modulus(r), dtype=float)
+            return float(0.5 * (b - a) * np.sum(weights * vals))
+
+        left_endpoint = lambda k: math.exp(x_start - (k + 1) * ln10)  # noqa: E731
+        max_decades = min(280, int((x_start + 700.0) / ln10))
+    else:
+        def decade_increment(k):
+            a = k * ln10
+            b = a + ln10
+            x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            vals = 1.0 / np.asarray(spec.modulus(np.exp(x)), dtype=float)
+            return float(0.5 * (b - a) * np.sum(weights * vals))
+
+        left_endpoint = lambda k: math.exp((k + 1) * ln10)  # noqa: E731
+        max_decades = min(280, 300)
+    rows, total, increments, verdict = [], 0.0, [], None
+    for k in range(max_decades):
+        inc = decade_increment(k)
+        if not math.isfinite(inc):
+            break
+        total += inc
+        increments.append(inc)
+        rows.append((k, left_endpoint(k), inc, total))
+        if total > 50.0 and inc >= 0.01:
+            verdict = OsgoodVerdict.DIVERGENT
+            break
+        if k >= 4 and inc < 1e-9 and inc <= increments[-2]:
+            verdict = OsgoodVerdict.CONVERGENT
+            break
+    tail_q = None
+    if verdict is None and len(increments) >= 32:
+        ks = np.arange(1, len(increments) + 1, dtype=float)
+        half = len(increments) // 2
+        inc_arr = np.asarray(increments[half:])
+        if np.all(inc_arr > 0):
+            tail_q = float(-np.polyfit(np.log(ks[half:]), np.log(inc_arr), 1)[0])
+            verdict = OsgoodVerdict.DIVERGENT if tail_q <= 1.5 else OsgoodVerdict.CONVERGENT
+    return verdict or OsgoodVerdict.INCONCLUSIVE, total, np.array(rows, dtype=float), tail_q
+
+
+GATE_GROWTHS = [
+    GrowthFunction.constant(1.0, p0=1.0),
+    GrowthFunction.constant(3.0, p0=2.0),
+    GrowthFunction.power(0.25, p0=1.0),
+    GrowthFunction.power(1.0, p0=2.0),
+    GrowthFunction.power(2.0, p0=1.5),
+    GrowthFunction.log_power(0.0, (1.0,), p0=2.0),
+    GrowthFunction.log_power(1.0, (2.0,), p0=3.0),
+    GrowthFunction.log_power(0.5, (1.0,), p0=2.0, shifted=True),
+]
+USER_SPECS = [
+    OsgoodSpec(modulus=lambda r: r, epsilon_L=1.0),
+    OsgoodSpec(modulus=np.sqrt, epsilon_L=1.0),
+    OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r), epsilon_L=0.3),
+    OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r) ** 2, epsilon_L=0.1),
+    OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r), epsilon_L=1e-30),
+    OsgoodSpec(modulus=_nan_below(1e-12), epsilon_L=0.3),
+    OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-300),
+    OsgoodSpec(modulus=np.log1p, orientation=OsgoodOrientation.INFINITY_END),
+    OsgoodSpec(modulus=lambda r: np.log1p(r) ** 2, orientation=OsgoodOrientation.INFINITY_END),
+]
+
+
+def _assert_same_march(spec):
+    out = osgood_test(spec)
+    verdict, total, trace, tail_q = _two_branch_osgood(spec)
+    assert out.verdict is verdict
+    assert out.partial_integral == total
+    assert out.tail_exponent == tail_q
+    assert np.array_equal(out.trace, trace)
+
+
+class TestOneMarchGate:
+    """One decade loop over x = log r, stepping -ln 10 from log epsilon_L or
+    +ln 10 from 0, takes the same decade ends, nodes and sums as the two
+    branches it replaced, so every output agrees bit for bit."""
+
+    @pytest.mark.parametrize("g", GATE_GROWTHS, ids=lambda g: f"{g.name}@{g.p0:g}")
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_growth_specs(self, g, lift):
+        for eps in (0.5, 0.9):
+            _assert_same_march(osgood_from_growth(g, OsgoodOrientation.ZERO_END, lift, eps))
+        _assert_same_march(osgood_from_growth(g, OsgoodOrientation.INFINITY_END, lift))
+
+    @pytest.mark.parametrize("i", range(len(USER_SPECS)))
+    def test_user_moduli(self, i):
+        _assert_same_march(USER_SPECS[i])
 
 
 class TestPClass:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import osgood
 
@@ -233,6 +235,16 @@ class TestModulusExactness:
         hs = _gate_h_values(n)
         assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
 
+    @given(st.sampled_from((4, 8, 16, 32)), st.integers(0, 2**32 - 1), st.integers(0, 31), st.integers(0, 31))
+    def test_periodic_shift_leaves_the_modulus_unchanged(self, n, seed, a, b):
+        # the offsets wrap periodically and max, min and the differences
+        # they pick are exact, so a rolled field has the same modulus
+        v = np.random.default_rng(seed).standard_normal((n, n))
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        rolled = np.roll(v, (a, b), axis=(0, 1))
+        assert np.array_equal(modulus_of_continuity([rolled], s, hs), modulus_of_continuity([v], s, hs))
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(osgood.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -269,6 +281,21 @@ class TestKSeq:
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
             k_seq(BandSequence(()), -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 8, 9, 12, 17, 33])
+    def test_array_t_matches_scalar_calls(self, m):
+        # one broadcast sum per row takes the same pairwise order as the
+        # scalar sum, so the values agree bit for bit
+        local = np.random.default_rng(m)
+        js = np.sort(local.choice(np.arange(-4, 40), size=m, replace=False))
+        seq = BandSequence(tuple(zip(js.tolist(), (local.random(m) * 10).tolist())))
+        ts = np.geomspace(2.0 ** -40, 8.0, 96)
+        for s0, s1 in ((-1.0, 0.0), (-0.75, 0.5), (0.25, 1.5)):
+            ks = k_seq(seq, s0, s1, ts)
+            assert np.array_equal(ks, [k_seq(seq, s0, s1, float(t)) for t in ts])
+            assert np.array_equal(k_seq(seq, s0, s1, ts.reshape(8, 12)), ks.reshape(8, 12))
+            assert np.array_equal(k_seq_curve(seq, s0, s1, ts).k_values, ks)
+        assert isinstance(k_seq(seq, -1.0, 0.0, 0.5), float)
 
     def test_randomized_splitting_never_beats_closed_form(self):
         # the closed form is the true infimum: corner splits attain it and
