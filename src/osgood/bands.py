@@ -16,11 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AliasRisk, NonPositiveArgument
-from .field import Domain, GridField, _fourier_grid, lp_norm
+from .field import Domain, GridField, _fourier_grid, dyadic_bmo_norm, lp_norm
 from .growth import GrowthFunction, pclass_check, yudovich
-from .kfunc import BandSequence, k_seq
+from .kfunc import BandSequence, _ratio, _sup_finite_ratio, k_seq
 
 _SUPP_LO, _PLATEAU_LO, _PLATEAU_HI, _SUPP_HI = 0.75, 0.875, 1.125, 1.75
+_ALPHA_POINTS = 32  # the intermediate exponents of the equivalence report's alpha form
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
@@ -192,19 +193,17 @@ def thmve_equivalence_report(
     g: GrowthFunction,
     beta: float,
     kappa: float,
-    alpha_points: int = 32,
-    validate_class: bool = True,
 ) -> EquivalenceReport:
     """Compare the three equivalent forms of the growth-indexed band norm.
 
     (a) partial-sum form plus the (beta - kappa) band sum; (b) universal
-    K-functional form over the exact sequence K; (c) supremum over
-    intermediate Besov exponents alpha with weight Pi(1/(beta - alpha)).
+    K-functional form over the exact sequence K on 96 t; (c) supremum over
+    _ALPHA_POINTS = 32 intermediate Besov exponents alpha with weight
+    Pi(1/(beta - alpha)).  The growth must pass pclass_check at kappa.
     """
-    if validate_class:
-        rep = pclass_check(g, kappa)
-        if not rep.all_pass:
-            raise ValueError(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
+    rep = pclass_check(g, kappa)
+    if not rep.all_pass:
+        raise ValueError(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
     if isinstance(source, GridField):
         seq = decompose(source).band_norms()
     else:
@@ -215,29 +214,21 @@ def thmve_equivalence_report(
     j_max = int(seq.js.max()) if len(seq.entries) else 0
     t_lo = 2.0 ** (-(j_max + 3) * kappa)
     ts = np.geomspace(t_lo, 8.0, 96)
-    ys = yudovich(g, 1.0 / ts)
-    ks = k_seq(seq, beta - kappa, beta, ts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = ks / (ts * ys)
-    vals = vals[np.isfinite(vals)]
-    b_val = float(vals.max()) if len(vals) else 0.0
+    b_val = _sup_finite_ratio(k_seq(seq, beta - kappa, beta, ts), ts * yudovich(g, 1.0 / ts))
 
     pad = 0.02 * kappa
-    alphas = np.linspace(beta - kappa + pad, beta - pad, alpha_points)
+    alphas = np.linspace(beta - kappa + pad, beta - pad, _ALPHA_POINTS)
     c_vals = [
         besov_norm_seq(seq, float(a)) / float(g(1.0 / (beta - a))) for a in alphas
     ]
-    c_val = float(np.max(c_vals)) if c_vals else 0.0
-
-    def ratio(x, y):
-        return x / y if y > 0 else np.inf if x > 0 else 1.0
+    c_val = float(np.max(c_vals))
 
     return EquivalenceReport(
         partial_sum_form=a_val, k_form=b_val, alpha_sup_form=c_val,
         ratios={
-            "partial_over_k": ratio(a_val, b_val),
-            "partial_over_alpha": ratio(a_val, c_val),
-            "k_over_alpha": ratio(b_val, c_val),
+            "partial_over_k": _ratio(a_val, b_val),
+            "partial_over_alpha": _ratio(a_val, c_val),
+            "k_over_alpha": _ratio(b_val, c_val),
         },
     )
 
@@ -278,16 +269,14 @@ def band_inequality_checks(d: DyadicDecomposition, p0: float) -> dict:
     return {"p0": p0, "bands": rows}
 
 
-def band_bmo_comparison(f: GridField, lam: float = 0.25) -> dict:
+def band_bmo_comparison(f: GridField) -> dict:
     """Empirical surrogate for the oscillation-space embedding: compares
     sup_j sup|band_j| against the dyadic mean-oscillation norm."""
-    from .field import dyadic_bmo_norm
-
     seq = decompose(f).band_norms()
     sup_band = float(seq.norms.max()) if len(seq.entries) else 0.0
     bmo = dyadic_bmo_norm(f)
     return {
         "sup_band": sup_band,
         "bmo_norm": bmo,
-        "ratio": sup_band / bmo if bmo > 0 else np.inf if sup_band > 0 else 1.0,
+        "ratio": _ratio(sup_band, bmo),
     }

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spaces
 from .bands import besov_norm, decompose, spectral_gradient, vishik_norm
 from .errors import NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
-from .kfunc import modulus_of_continuity
+from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
 
 
 def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridField]:
@@ -99,7 +100,6 @@ def modulus_envelope(
     norm_choice: str = "sharp_yudovich",
     p0: float = 4.0,
     lam: float = 0.25,
-    h_samples=None,
     velocity: tuple[GridField, GridField] | None = None,
 ) -> ModulusEnvelope:
     """Measured velocity modulus against the growth-indexed envelope.
@@ -108,11 +108,9 @@ def modulus_envelope(
     oscillation-side norm is chosen (the classical pairing) and from the
     growth itself when the band-side norm is chosen; N is the corresponding
     norm of the vorticity.  fitted_c is the smallest constant making the
-    envelope dominate the measured modulus on the sample set.  The default
-    h samples run from the grid spacing to half the side.
+    envelope dominate the measured modulus on the sample set: the 48-point
+    h grid from the grid spacing to half the side.
     """
-    from . import spaces
-
     if norm_choice not in ("sharp_yudovich", "vishik"):
         raise ValueError(f"unknown norm choice {norm_choice!r}")
     if norm_choice == "vishik" and not float(g(0.0)) > 0.0:
@@ -121,9 +119,7 @@ def modulus_envelope(
     if velocity is None:
         velocity = biot_savart(omega, beta)
     v1, v2 = velocity
-    if h_samples is None:
-        h_samples = np.geomspace(v1.spacing, v1.domain.side / 2.0, 48)
-    hs = np.asarray(h_samples, dtype=float)
+    hs = _h_grid(v1)
     measured = modulus_of_continuity([v1.data, v2.data], v1.spacing, hs)
 
     if norm_choice == "sharp_yudovich":
@@ -135,11 +131,7 @@ def modulus_envelope(
         norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
         env = envelope_curve(g, hs, norm_ref, lift=False)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = measured / env
-    ratios = ratios[np.isfinite(ratios)]
-    fitted = float(ratios.max()) if len(ratios) else 0.0
     return ModulusEnvelope(
         h_samples=hs, measured=measured, envelope=env,
-        fitted_c=fitted, norm_reference=norm_ref, norm_choice=norm_choice,
+        fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref, norm_choice=norm_choice,
     )

@@ -37,5 +37,9 @@ class EmptySequence(OsgoodError):
     """Band sequence has no entries."""
 
 
+class InvalidFieldFile(OsgoodError, ValueError):
+    """A field file whose header or payload is malformed."""
+
+
 class AliasRisk(UserWarning):
     """Top frequency band touches the Nyquist annulus."""

@@ -17,7 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidLambda
+from .errors import InvalidExponent, InvalidFieldFile, InvalidLambda
+
+_MIN_SIDE = 4  # the smallest dyadic cube side, in cells
 
 
 class Domain(Enum):
@@ -45,6 +47,11 @@ def _fourier_grid(n: int, side: float):
     return k1, k2, xi1, xi2
 
 
+def _is_grid_size(n: int) -> bool:
+    """n is a power of two, at least 4."""
+    return n >= 4 and not n & (n - 1)
+
+
 @dataclass(frozen=True)
 class GridField:
     data: np.ndarray
@@ -55,8 +62,7 @@ class GridField:
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("field must be a square 2-d array")
-        n = arr.shape[0]
-        if n < 4 or n & (n - 1):
+        if not _is_grid_size(arr.shape[0]):
             raise ValueError("grid size must be a power of two, at least 4")
         if not np.all(np.isfinite(arr)):
             raise ValueError("field samples must be finite")
@@ -178,13 +184,12 @@ def lp_norm(f: GridField, p: float) -> float:
 
 # -- dyadic cube hierarchy ---------------------------------------------------
 
-def cube_levels(n: int, min_side: int = 4, include_full: bool = True):
+def cube_levels(n: int, min_side: int = _MIN_SIDE):
     """Cube side lengths (in cells) from min_side up to n."""
     sides = []
     s = min_side
     while s <= n:
-        if s < n or include_full:
-            sides.append(s)
+        sides.append(s)
         s *= 2
     return sides
 
@@ -208,11 +213,12 @@ def _cube_shifts(n: int, side: int):
     return [(0, 0), (h, 0), (0, h), (h, h)]
 
 
-def _cubes(f: GridField, stat, min_side: int):
+def _cubes(f: GridField, stat):
     """(side, shift, stat of every cube of that family) over the cube family,
-    coarse to fine; entry (i, j) is the cube anchored at shift + side (i, j)."""
+    coarse to fine, sides _MIN_SIDE = 4 cells to n; entry (i, j) is the cube
+    anchored at shift + side (i, j)."""
     n = f.n
-    for side in reversed(cube_levels(n, min_side=min_side)):
+    for side in reversed(cube_levels(n)):
         for shift in _cube_shifts(n, side):
             rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
             yield side, shift, stat(_block_view(rolled, side))
@@ -237,7 +243,7 @@ class SharpMaximalField:
     result: GridField
 
 
-def _cube_sweep(f: GridField, stat, min_side: int) -> GridField:
+def _cube_sweep(f: GridField, stat) -> GridField:
     """For each cell, the max of stat(samples of Q) over the dyadic cubes Q
     containing it; stat maps (b, b, side*side) blocks to (b, b) values.
 
@@ -249,7 +255,7 @@ def _cube_sweep(f: GridField, stat, min_side: int) -> GridField:
     """
     n = f.n
     acc = np.zeros((1, 1))
-    for side, shift, values in _cubes(f, stat, min_side):
+    for side, shift, values in _cubes(f, stat):
         cell = max(side // 2, 1)
         acc = _spread(acc, n // cell)
         cubes = _spread(values, n // cell)
@@ -275,8 +281,9 @@ def _mean_oscillation(blocks: np.ndarray) -> np.ndarray:
     return np.abs(blocks - blocks.mean(axis=-1, keepdims=True)).mean(axis=-1)
 
 
-def sharp_maximal(f: GridField, lam: float = 0.25, min_side: int = 4) -> SharpMaximalField:
-    """Local-oscillation maximal function: for each dyadic cube Q and x in Q,
+def sharp_maximal(f: GridField, lam: float = 0.25) -> SharpMaximalField:
+    """Local-oscillation maximal function: for each dyadic cube Q of side at
+    least _MIN_SIDE = 4 cells and x in Q,
     the best-constant trimmed oscillation inf_c ((f-c) chi_Q)*(lam |Q|),
     maximized over all cubes containing x.
 
@@ -286,24 +293,25 @@ def sharp_maximal(f: GridField, lam: float = 0.25, min_side: int = 4) -> SharpMa
     if not (0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
     return SharpMaximalField(
-        base=f, lam=lam, cube_sides=tuple(cube_levels(f.n, min_side=min_side)),
-        result=_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam), min_side),
+        base=f, lam=lam, cube_sides=tuple(cube_levels(f.n)),
+        result=_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam)),
     )
 
 
-def fefferman_stein_sharp(f: GridField, min_side: int = 4) -> GridField:
-    """Mean-oscillation maximal function sup_{Q: x in Q} avg_Q |f - avg_Q f|.
+def fefferman_stein_sharp(f: GridField) -> GridField:
+    """Mean-oscillation maximal function sup_{Q: x in Q} avg_Q |f - avg_Q f|
+    over dyadic cubes of side at least _MIN_SIDE = 4 cells.
 
     Its global maximum is the (dyadic) BMO norm of the field.
     """
-    return _cube_sweep(f, _mean_oscillation, min_side)
+    return _cube_sweep(f, _mean_oscillation)
 
 
-def dyadic_bmo_norm(f: GridField, min_side: int = 4) -> float:
+def dyadic_bmo_norm(f: GridField) -> float:
     """The (dyadic) BMO norm: the largest mean oscillation avg_Q |f - avg_Q f|
     over the cube family, which is the maximum of fefferman_stein_sharp, taken
     straight from the per-cube values with no n x n field built."""
-    return float(max((v.max() for _, _, v in _cubes(f, _mean_oscillation, min_side)), default=0.0))
+    return float(max((v.max() for _, _, v in _cubes(f, _mean_oscillation)), default=0.0))
 
 
 # -- field I/O ----------------------------------------------------------------
@@ -323,13 +331,27 @@ def write_field_binary(f: GridField, path) -> None:
         fh.write(f.data.astype("<f8").tobytes())
 
 
+def _check_file_size(n: int) -> None:
+    if not _is_grid_size(n):
+        raise InvalidFieldFile(f"grid size must be a power of two, at least 4, got {n}")
+
+
 def read_field_binary(path) -> GridField:
+    """Read a file written by write_field_binary; the header (magic, n a power
+    of two >= 4, a known domain tag) and a payload of exactly 8 n^2 bytes are
+    checked before any array is built."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != _MAGIC:
-            raise ValueError("not a field file (bad magic)")
+            raise InvalidFieldFile("not a field file (bad magic)")
         n, tag, flags = struct.unpack("<III", header[4:])
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
+        _check_file_size(n)
+        if tag not in _DOMAINS_BY_TAG:
+            raise InvalidFieldFile(f"unknown domain tag {tag}")
+        payload = fh.read()
+    if len(payload) != 8 * n * n:
+        raise InvalidFieldFile(f"payload has {len(payload)} bytes, expected 8 n^2 = {8 * n * n} for n = {n}")
+    data = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
     return GridField(data, _DOMAINS_BY_TAG[tag], mean_removed=bool(flags & 1))
 
 
@@ -342,10 +364,20 @@ def write_field_csv(f: GridField, path) -> None:
 
 
 def read_field_csv(path) -> GridField:
+    """Read a file written by write_field_csv; the header line must name n, a
+    power of two >= 4, and a known domain, and the body must be n rows of n."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
-            raise ValueError("missing header line")
-        meta = dict(part.split("=") for part in header[1:].split())
-        data = np.loadtxt(io.StringIO(fh.read()), delimiter=",").reshape(int(meta["n"]), -1)
+            raise InvalidFieldFile("missing header line")
+        meta = dict(part.partition("=")[::2] for part in header[1:].split())
+        if not meta.get("n", "").isdigit():
+            raise InvalidFieldFile(f"header has no integer n=: {header!r}")
+        n = int(meta["n"])
+        _check_file_size(n)
+        if meta.get("domain") not in _DOMAINS_BY_NAME:
+            raise InvalidFieldFile(f"unknown domain in header: {header!r}")
+        data = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
+    if data.shape != (n, n):
+        raise InvalidFieldFile(f"body has shape {data.shape}, expected ({n}, {n})")
     return GridField(data, _DOMAINS_BY_NAME[meta["domain"]])

@@ -32,6 +32,14 @@ _GRID, _P_TOP = 4096, 1e12  # the Yudovich search grid, geometric on [p0, _P_TOP
 # tail increments fitted to c * k^(-q) read as divergent for q <= _TAIL_CUT
 _DECADES, _NODES = 280, 32
 _DIVERGE_AT, _DIVERGE_INC, _CAUCHY_TOL, _TAIL_CUT = 50.0, 0.01, 1e-9, 1.5
+# the hypothesis checks: the doubling constant sampled at _DOUBLING_SAMPLES
+# points up to p = _DOUBLING_P_HI and capped at _DOUBLING_CAP; the quasi-
+# decreasing sampler at 4 points per doubling up to p = _QD_P_HI, failing where
+# a per-doubling factor inflates by more than _SLACK; the tail sum over
+# _TAIL_TERMS terms, compared at its first _HEADS indices
+_DOUBLING_P_HI, _DOUBLING_SAMPLES, _DOUBLING_CAP = 4096.0, 64, 1e6
+_QD_P_HI, _SLACK = 2048.0, 1.05
+_TAIL_TERMS, _HEADS = 4000, 64
 
 
 @dataclass(frozen=True)
@@ -169,10 +177,10 @@ class GrowthFunction:
 
     # -- diagnostics -------------------------------------------------------
 
-    def doubling_constant(self, p_hi: float = 4096.0, samples: int = 64) -> float:
-        """sup of Theta(2p)/Theta(p) on a log grid of [max(p0, 1/4), p_hi]."""
-        lo = max(self.p0, 0.25)
-        ps = np.geomspace(lo, p_hi, samples)
+    def doubling_constant(self) -> float:
+        """sup of Theta(2p)/Theta(p) on the _DOUBLING_SAMPLES-point log grid of
+        [max(p0, 1/4), _DOUBLING_P_HI]: 64 points up to 4096."""
+        ps = np.geomspace(max(self.p0, 0.25), _DOUBLING_P_HI, _DOUBLING_SAMPLES)
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = self(2.0 * ps) / self(ps)
         return float(np.nanmax(ratios))
@@ -274,70 +282,58 @@ def yudovich(g: GrowthFunction, r):
 
 # -- quasi-decreasing sampling check ---------------------------------------
 
-def doubling_ratio_stable(
-    f: Callable[[np.ndarray], np.ndarray],
-    p_lo: float,
-    p_hi: float = 2048.0,
-    slack: float = 1.05,
-    settle_p: float | None = None,
-) -> tuple[bool, float | None]:
-    """Sampled acceptance test for 'quasi-decreasing up to constants'.
+def _quasi_decreasing_witness(g: GrowthFunction, c: float, p_lo: float) -> float | None:
+    """Sampled acceptance test for 'p -> e**(c/p) Theta(p) is quasi-decreasing
+    up to constants'; None when it passes, else the first offending p.
 
     Genuinely quasi-decreasing maps and maps that grow at a stable power
     rate both have per-doubling factors f(2p)/f(p) that settle; exponential
-    growths have factors that keep inflating.  We accept when, beyond the
-    settle point, consecutive per-doubling factors never inflate by more
-    than `slack`.  Returns (ok, first offending p).
+    growths have factors that keep inflating.  The map is sampled at 4 points
+    per doubling from p_lo to _QD_P_HI (at least 4 doublings), and it passes
+    when, from p = max(8 p_lo, 16) on, consecutive per-doubling factors never
+    inflate by more than _SLACK.  A value that is not finite and > 0 fails
+    at its own p.
     """
     steps_per_doubling = 4
-    if settle_p is None:
-        settle_p = max(8.0 * p_lo, 16.0)
-    n_doublings = max(4, int(math.ceil(math.log2(p_hi / p_lo))))
+    settle_p = max(8.0 * p_lo, 16.0)
+    n_doublings = max(4, int(math.ceil(math.log2(_QD_P_HI / p_lo))))
     m = n_doublings * steps_per_doubling + 1
     ps = p_lo * 2.0 ** (np.arange(m) / steps_per_doubling)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f(ps), dtype=float)
-    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
-        bad = np.where(~np.isfinite(vals) | (vals <= 0))[0][0]
-        return False, float(ps[bad])
-    factors = vals[steps_per_doubling:] / vals[:-steps_per_doubling]
-    quot = factors[steps_per_doubling:] / factors[:-steps_per_doubling]
-    for i in range(len(quot)):
-        if ps[i] >= settle_p and quot[i] > slack:
-            return False, float(ps[i])
-    return True, None
+        vals = np.exp(c / ps) * np.asarray(g(ps), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0))
+    if not len(bad):
+        factors = vals[steps_per_doubling:] / vals[:-steps_per_doubling]
+        quot = factors[steps_per_doubling:] / factors[:-steps_per_doubling]
+        bad = np.flatnonzero((ps[:len(quot)] >= settle_p) & (quot > _SLACK))
+    return float(ps[bad[0]]) if len(bad) else None
 
 
-def check_hyp_quasi_decreasing(g: GrowthFunction, slack: float = 1.05) -> None:
-    """Validate that p -> e**(p0/p) Theta(p) is quasi-decreasing (sampled).
+def check_hyp_quasi_decreasing(g: GrowthFunction) -> None:
+    """Validate that p -> e**(p0/p) Theta(p) is quasi-decreasing, sampled by
+    _quasi_decreasing_witness from max(p0, 1/2) with slack _SLACK = 1.05.
 
     Raises HypothesisViolated when the per-doubling growth of that map keeps
     inflating (the exponential-growth signature that breaks the log-argument
     characterization of y).
     """
-    p0 = g.p0
-
-    def f(p):
-        return np.exp(p0 / np.asarray(p, float)) * np.asarray(g(p), float)
-
-    ok, witness = doubling_ratio_stable(f, p_lo=max(p0, 0.5), slack=slack)
-    if not ok:
+    witness = _quasi_decreasing_witness(g, g.p0, max(g.p0, 0.5))
+    if witness is not None:
         raise HypothesisViolated(
             f"e^(p0/p)*{g.name} fails the quasi-decreasing sampling check near p={witness:g}"
         )
 
 
-def lemma1_ratio_scan(
-    g: GrowthFunction,
-    r_grid: Sequence[float],
-    slack: float = 1.05,
-) -> dict:
+def lemma1_ratio_scan(g: GrowthFunction, r_grid: Sequence[float]) -> dict:
     """Ratios y(r) / Theta(log r) over r_grid, plus the band they occupy.
 
-    Requires every r > e**(2 p0) and the sampled quasi-decreasing hypothesis.
+    Requires a nonempty r_grid, every r > e**(2 p0) and the sampled
+    quasi-decreasing hypothesis (check_hyp_quasi_decreasing).
     """
-    check_hyp_quasi_decreasing(g, slack=slack)
     r_grid = np.asarray(list(r_grid), dtype=float)
+    if not r_grid.size:
+        raise ValueError("r_grid must not be empty")
+    check_hyp_quasi_decreasing(g)
     floor = math.exp(2.0 * g.p0)
     if np.any(r_grid <= floor):
         raise ValueError(f"all r must exceed e^(2 p0) = {floor:g}")
@@ -368,19 +364,14 @@ class GrowthClassReport:
         return all(self.passes.values())
 
 
-def pclass_check(
-    g: GrowthFunction,
-    kappa: float,
-    n_max: int = 64,
-    tail_terms: int = 4000,
-    doubling_cap: float = 1e6,
-    slack: float = 1.05,
-) -> GrowthClassReport:
+def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     """Check the four partial-sum-growth conditions at index kappa.
 
-    (i) positive and non-decreasing on [0, inf); (ii) doubling with a finite
-    reported constant; (iii) e**(1/p) Pi(p) quasi-decreasing (sampled);
-    (iv) sum_{j>=N} 2^(-j kappa) Pi(j) <= C 2^(-N kappa) Pi(N) for all N.
+    (i) positive and non-decreasing on [0, inf); (ii) doubling with a
+    constant at most _DOUBLING_CAP = 1e6; (iii) e**(1/p) Pi(p)
+    quasi-decreasing, sampled by _quasi_decreasing_witness from p = 1/2;
+    (iv) sum_{j>=N} 2^(-j kappa) Pi(j) <= C 2^(-N kappa) Pi(N) for the first
+    _HEADS = 64 indices N, the tails summed over _TAIL_TERMS = 4000 terms.
     Failures are report entries with witnesses, never exceptions.
     """
     passes: dict = {}
@@ -397,20 +388,17 @@ def pclass_check(
         witness["monotone"] = float(ps[bad[0]]) if len(bad) else float(ps[np.argmin(np.diff(vals))])
 
     c_dbl = g.doubling_constant()
-    passes["doubling"] = bool(np.isfinite(c_dbl) and c_dbl <= doubling_cap)
+    passes["doubling"] = bool(np.isfinite(c_dbl) and c_dbl <= _DOUBLING_CAP)
     if not passes["doubling"]:
         witness["doubling"] = c_dbl
 
-    def f3(p):
-        return np.exp(1.0 / np.maximum(np.asarray(p, float), 1e-9)) * np.asarray(g(p), float)
-
-    ok3, w3 = doubling_ratio_stable(f3, p_lo=0.5, slack=slack)
-    passes["quasi_decreasing"] = ok3
-    if not ok3:
+    w3 = _quasi_decreasing_witness(g, 1.0, 0.5)
+    passes["quasi_decreasing"] = w3 is None
+    if w3 is not None:
         witness["quasi_decreasing"] = w3
 
     # condition (iv): geometric-tail domination, checked by direct summation
-    js = np.arange(tail_terms, dtype=float)
+    js = np.arange(_TAIL_TERMS, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = 2.0 ** (-js * kappa) * np.asarray(g(js), dtype=float)
     tail_ratio: float | None = None
@@ -420,8 +408,8 @@ def pclass_check(
         witness["tail_sum"] = "tail terms do not decay (sum diverges or overflows)"
     else:
         tails = np.cumsum(terms[::-1])[::-1]
-        heads = 2.0 ** (-np.arange(n_max) * kappa) * np.asarray(g(np.arange(n_max)), dtype=float)
-        ratios = tails[:n_max] / heads
+        heads = 2.0 ** (-np.arange(_HEADS) * kappa) * np.asarray(g(np.arange(_HEADS)), dtype=float)
+        ratios = tails[:_HEADS] / heads
         tail_ratio = float(ratios.max())
         passes["tail_sum"] = bool(np.isfinite(tail_ratio))
         if not passes["tail_sum"]:
@@ -459,6 +447,8 @@ class OsgoodSpec:
 
     def validate(self) -> None:
         if self.orientation is OsgoodOrientation.ZERO_END:
+            if not (math.isfinite(self.epsilon_L) and self.epsilon_L > 0.0):
+                raise NonPositiveArgument(f"epsilon_L must be finite and > 0, got {self.epsilon_L}")
             rs = np.geomspace(self.epsilon_L * 1e-8, self.epsilon_L, 64)
         else:
             rs = np.geomspace(1.0, 1e8, 64)

@@ -18,6 +18,9 @@ from .errors import EmptySequence
 from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
 from .growth import GrowthFunction, _with_p0, yudovich
 
+_RTOL = 1e-9  # check_shape's relative round-off allowance
+_H_POINTS = 48  # the h grid of the modulus of continuity
+
 
 def default_t_grid(lo: float = 1e-6, hi: float = 1e3, m: int = 64) -> np.ndarray:
     return np.geomspace(lo, hi, m)
@@ -30,20 +33,21 @@ class KCurve:
     k_values: np.ndarray
     params: dict | None = None
 
-    def check_shape(self, rtol: float = 1e-9, concave_slack: float = 0.35) -> None:
-        """K nondecreasing and K/t nonincreasing hold exactly for every pair;
+    def check_shape(self, concave_slack: float = 0.35) -> None:
+        """K nondecreasing and K/t nonincreasing hold exactly for every pair,
+        up to a round-off of _RTOL = 1e-9 relative to the largest value;
         concavity is exact only for the true-K pairs (p0=1 prefix integral,
         sequence sums), so surrogate curves get a relative slack against the
         chord.  Pass concave_slack=0 for the exact pairs."""
         t, k = self.t_samples, self.k_values
         scale = max(float(k.max()), 1e-300)
-        if np.any(np.diff(k) < -rtol * scale):
+        if np.any(np.diff(k) < -_RTOL * scale):
             raise AssertionError(f"{self.pair}: K not nondecreasing")
         slopes = k / t
-        if np.any(np.diff(slopes) > rtol * max(float(slopes.max()), 1e-300)):
+        if np.any(np.diff(slopes) > _RTOL * max(float(slopes.max()), 1e-300)):
             raise AssertionError(f"{self.pair}: K/t not nonincreasing")
         chord = k[:-2] + (k[2:] - k[:-2]) * ((t[1:-1] - t[:-2]) / (t[2:] - t[:-2]))
-        floor = chord * (1.0 - concave_slack) - 64 * rtol * scale
+        floor = chord * (1.0 - concave_slack) - 64 * _RTOL * scale
         if np.any(k[1:-1] < floor):
             raise AssertionError(f"{self.pair}: K dips below the concave chord envelope")
 
@@ -147,14 +151,18 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     return out if np.ndim(h_values) else float(out[0])
 
 
-def k_linf_lip(v: GridField | Sequence[GridField], t_grid=None) -> KCurve:
-    """K(t) realized as the exact grid modulus of continuity at separation t."""
+def _h_grid(f: GridField) -> np.ndarray:
+    """The _H_POINTS = 48-point h grid, geometric from the grid spacing to half
+    the side of the field's domain."""
+    return np.geomspace(f.spacing, f.domain.side / 2.0, _H_POINTS)
+
+
+def k_linf_lip(v: GridField | Sequence[GridField]) -> KCurve:
+    """K(t) realized as the exact grid modulus of continuity at separation t,
+    sampled on the 48-point h grid of the first component."""
     comps = [v] if isinstance(v, GridField) else list(v)
-    spacing = comps[0].spacing
-    if t_grid is None:
-        t_grid = np.geomspace(spacing, comps[0].domain.side / 2.0, 48)
-    t = np.asarray(t_grid, dtype=float)
-    k = modulus_of_continuity([c.data for c in comps], spacing, t)
+    t = _h_grid(comps[0])
+    k = modulus_of_continuity([c.data for c in comps], comps[0].spacing, t)
     return KCurve(pair="Linf_W1inf", t_samples=t, k_values=k)
 
 
@@ -197,8 +205,17 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
     power of s.
     """
     s = curve.t_samples
-    denom = s * yudovich(_with_p0(g, p0), s ** (-p0))
+    return _sup_finite_ratio(curve.k_values, s * yudovich(_with_p0(g, p0), s ** (-p0)))
+
+
+def _sup_finite_ratio(num, den) -> float:
+    """max of the finite entries of num / den, 0 when there are none."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = curve.k_values / denom
+        vals = num / den
     vals = vals[np.isfinite(vals)]
     return float(vals.max()) if len(vals) else 0.0
+
+
+def _ratio(x: float, y: float) -> float:
+    """x / y, with x / 0 = inf for x > 0 and 0 / 0 = 1: two vanishing forms agree."""
+    return x / y if y > 0 else np.inf if x > 0 else 1.0

@@ -112,3 +112,15 @@ def test_envelope_constant_settles_under_refinement(alpha):
     first, second = abs(c[1] / c[0] - 1.0), abs(c[2] / c[1] - 1.0)
     assert first < 0.06 and second < 0.06
     assert second < first
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_vishik_reference_grows_like_log_n(alpha):
+    # expected, not a defect: the band norms of |log rho| are of order 1 in
+    # every band, so the Vishik sum over the log2(n) bands a grid resolves,
+    # and with it the norm, gains about the same amount (0.6 to 0.74 here)
+    # at each doubling of n, for Theta = (p+1)^alpha
+    g = GrowthFunction.power(alpha, shift=1.0)
+    ref = [modulus_envelope(log_patch(n, alpha), 0.0, g, norm_choice="vishik").norm_reference
+           for n in (32, 64, 128)]
+    assert np.all((np.diff(ref) > 0.5) & (np.diff(ref) < 0.8))

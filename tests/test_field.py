@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from osgood.errors import InvalidExponent, InvalidLambda
+from osgood.errors import InvalidExponent, InvalidFieldFile, InvalidLambda, OsgoodError
 from osgood.field import (
     Domain,
     GridField,
@@ -323,6 +325,46 @@ class TestIO:
         path.write_bytes(b"NOPE" + b"\0" * 20)
         with pytest.raises(ValueError):
             read_field_binary(path)
+
+
+def _binary(n, tag=0, payload=None):
+    return b"OSGF" + struct.pack("<III", n, tag, 0) + (bytes(8 * n * n) if payload is None else payload)
+
+
+def _csv(header, rows=4, cols=4):
+    return header + "\n" + "".join(",".join(["0.5"] * cols) + "\n" for _ in range(rows))
+
+
+MALFORMED = {
+    "binary_short_header": (read_field_binary, b"OSGF\4\0"),
+    "binary_unknown_tag": (read_field_binary, _binary(4, tag=7)),
+    "binary_n_2_31": (read_field_binary, _binary(2**31, payload=bytes(64))),
+    "binary_n_not_power_of_two": (read_field_binary, _binary(6)),
+    "binary_n_too_small": (read_field_binary, _binary(2)),
+    "binary_truncated_payload": (read_field_binary, _binary(8, payload=bytes(8 * 63))),
+    "binary_long_payload": (read_field_binary, _binary(8, payload=bytes(8 * 65))),
+    "csv_no_header": (read_field_csv, _csv("0.5,0.5,0.5,0.5")),
+    "csv_unknown_domain": (read_field_csv, _csv("# n=4 domain=sphere")),
+    "csv_missing_domain": (read_field_csv, _csv("# n=4")),
+    "csv_missing_n": (read_field_csv, _csv("# domain=unit")),
+    "csv_n_not_integer": (read_field_csv, _csv("# n=4.0 domain=unit")),
+    "csv_n_not_power_of_two": (read_field_csv, _csv("# n=6 domain=unit", 6, 6)),
+    "csv_truncated_body": (read_field_csv, _csv("# n=4 domain=unit", rows=3)),
+    "csv_short_rows": (read_field_csv, _csv("# n=4 domain=unit", cols=2, rows=8)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_file_raises_typed_error(tmp_path, name):
+    reader, content = MALFORMED[name]
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(InvalidFieldFile) as info:
+        reader(path)
+    assert isinstance(info.value, OsgoodError) and isinstance(info.value, ValueError)
 
 
 class TestDomainConversion:

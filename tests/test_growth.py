@@ -12,6 +12,8 @@ from osgood.growth import (
     OsgoodSpec,
     OsgoodVerdict,
     _EXITS,
+    _quasi_decreasing_witness,
+    check_hyp_quasi_decreasing,
     lemma1_ratio_scan,
     osgood_from_growth,
     osgood_test,
@@ -268,6 +270,12 @@ class TestLemma1RatioScan:
         with pytest.raises(ValueError):
             lemma1_ratio_scan(CONST, [1.5])
 
+    def test_empty_grid_rejected_up_front(self):
+        # an exponential growth fails the hypothesis check: the grid is checked first
+        for g in (CONST, GrowthFunction.from_callable("2^p", lambda p: 2.0**p, p0=1.0)):
+            with pytest.raises(ValueError, match="must not be empty"):
+                lemma1_ratio_scan(g, [])
+
 
 class TestOsgood:
     def test_linear_divergent(self):
@@ -308,6 +316,13 @@ class TestOsgood:
             osgood_test(OsgoodSpec(modulus=lambda r: r - 0.5, epsilon_L=1.0))
         with pytest.raises(InvalidModulus):
             osgood_test(OsgoodSpec(modulus=lambda r: 1.0 / (1.0 + r), epsilon_L=1.0))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_zero_end_needs_finite_positive_epsilon(self, eps):
+        with pytest.raises(NonPositiveArgument, match="epsilon_L"):
+            osgood_test(osgood_from_growth(LINEAR, epsilon_L=eps))
+        with pytest.raises(NonPositiveArgument, match="epsilon_L"):
+            osgood_test(OsgoodSpec(modulus=np.sqrt, epsilon_L=eps))
 
     def test_zero_end_stops_before_underflow(self):
         # no early exit: the march runs until e^x would underflow, log 1e-30
@@ -460,6 +475,68 @@ class TestOneMarchGate:
     @pytest.mark.parametrize("i", range(len(USER_SPECS)))
     def test_user_moduli(self, i):
         _assert_same_march(USER_SPECS[i])
+
+
+def _doubling_ratio_stable(f, p_lo, p_hi=2048.0, slack=1.05, settle_p=None):
+    """The sampler's earlier form, kept as the reference: a Python loop over
+    the quotients of consecutive per-doubling factors; returns (ok, first
+    offending p)."""
+    steps_per_doubling = 4
+    if settle_p is None:
+        settle_p = max(8.0 * p_lo, 16.0)
+    n_doublings = max(4, int(math.ceil(math.log2(p_hi / p_lo))))
+    m = n_doublings * steps_per_doubling + 1
+    ps = p_lo * 2.0 ** (np.arange(m) / steps_per_doubling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(ps), dtype=float)
+    if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
+        bad = np.where(~np.isfinite(vals) | (vals <= 0))[0][0]
+        return False, float(ps[bad])
+    factors = vals[steps_per_doubling:] / vals[:-steps_per_doubling]
+    quot = factors[steps_per_doubling:] / factors[:-steps_per_doubling]
+    for i in range(len(quot)):
+        if ps[i] >= settle_p and quot[i] > slack:
+            return False, float(ps[i])
+    return True, None
+
+
+QD_GROWTHS = [
+    GrowthFunction.constant(1.0, p0=1.0),
+    GrowthFunction.constant(2.0, p0=0.6),
+    GrowthFunction.power(0.5, p0=1.0),
+    GrowthFunction.power(2.0, p0=2.0),
+    GrowthFunction.power(1.0, p0=1.0, shift=1.0),
+    GrowthFunction.log_power(1.0, (1.0,), p0=2.0),
+    GrowthFunction.log_power(0.5, (2.0,), p0=1.0, shifted=True),
+    GrowthFunction.log_power(1.0, (1.0, 1.0), p0=3.0, shifted=True),
+    GrowthFunction.from_table([1.0, 10.0, 100.0, 1e4], [1.0, 2.0, 3.0, 5.0]),
+    GrowthFunction.from_table([1.0, 50.0, 60.0, 1e4], [1.0, 1.5, 40.0, 50.0]),
+    GrowthFunction.from_callable("e^p", np.exp),
+    GrowthFunction.from_callable("e^sqrt(p)", lambda p: np.exp(np.sqrt(p))),
+    GrowthFunction.from_callable("2^p", lambda p: 2.0**p, p0=2.0),
+]
+
+
+class TestQuasiDecreasingGate:
+    """_quasi_decreasing_witness finds the first offender with one vectorised
+    test and returns the same p as the loop it replaced, for both maps its
+    callers sample: e^(p0/p) Theta from max(p0, 1/2) and e^(1/p) Pi from 1/2."""
+
+    @pytest.mark.parametrize("g", QD_GROWTHS, ids=lambda g: f"{g.name}@{g.p0:g}")
+    def test_same_witness_as_the_loop(self, g):
+        for c, p_lo in ((g.p0, max(g.p0, 0.5)), (1.0, 0.5)):
+            ok, ref = _doubling_ratio_stable(lambda p: np.exp(c / np.asarray(p, float)) * np.asarray(g(p), float), p_lo)
+            assert _quasi_decreasing_witness(g, c, p_lo) == ref
+            assert ok is (ref is None)
+
+    def test_both_outcomes_are_covered(self):
+        witnesses = [_quasi_decreasing_witness(g, 1.0, 0.5) for g in QD_GROWTHS]
+        assert None in witnesses and any(w is not None for w in witnesses)
+
+    def test_check_raises_at_the_witness(self):
+        g = GrowthFunction.from_callable("e^p", np.exp)
+        with pytest.raises(HypothesisViolated, match=f"near p={_quasi_decreasing_witness(g, 1.0, 1.0):g}$"):
+            check_hyp_quasi_decreasing(g)
 
 
 class TestPClass:

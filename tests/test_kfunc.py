@@ -245,6 +245,22 @@ class TestModulusExactness:
         rolled = np.roll(v, (a, b), axis=(0, 1))
         assert np.array_equal(modulus_of_continuity([rolled], s, hs), modulus_of_continuity([v], s, hs))
 
+    @given(
+        st.sampled_from((4, 8, 16, 32)),
+        st.sampled_from(tuple(Domain)),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.one_of(st.integers(0, 32).map(float), st.floats(0.0, 32.0)), max_size=12),
+    )
+    def test_monotone_in_h(self, n, domain, comps, seed, cells):
+        # h in cells, with one value between grid multiples and one past
+        # side/2 always among them: a larger h visits a superset of the
+        # offsets, so the modulus never falls, bit for bit
+        v = np.random.default_rng(seed).standard_normal((comps, n, n))
+        s = domain.side / n
+        hs = np.sort(np.array(cells + [1.5, 0.75 * n])) * s
+        assert np.all(np.diff(modulus_of_continuity(list(v), s, hs)) >= 0)
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(osgood.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
