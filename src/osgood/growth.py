@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +26,12 @@ from .errors import (
 )
 
 _GRID, _P_TOP = 4096, 1e12  # the Yudovich search grid, geometric on [p0, _P_TOP]
-# the Osgood march: at most _DECADES decades of _NODES Gauss-Legendre nodes;
+# the Osgood march: at most _DECADES decades of _NODES Gauss-Legendre nodes,
+# evaluated _BLOCK decades per modulus call (a stop wastes at most _BLOCK - 1);
 # Divergent once the partial integral passes _DIVERGE_AT with an increment of at
 # least _DIVERGE_INC, Convergent once an increment falls below _CAUCHY_TOL, and
 # tail increments fitted to c * k^(-q) read as divergent for q <= _TAIL_CUT
-_DECADES, _NODES = 280, 32
+_DECADES, _NODES, _BLOCK = 280, 32, 8
 _DIVERGE_AT, _DIVERGE_INC, _CAUCHY_TOL, _TAIL_CUT = 50.0, 0.01, 1e-9, 1.5
 # the hypothesis checks: the doubling constant sampled at _DOUBLING_SAMPLES
 # points up to p = _DOUBLING_P_HI and capped at _DOUBLING_CAP; the quasi-
@@ -181,7 +182,7 @@ class GrowthFunction:
         """sup of Theta(2p)/Theta(p) on the _DOUBLING_SAMPLES-point log grid of
         [max(p0, 1/4), _DOUBLING_P_HI]: 64 points up to 4096."""
         ps = np.geomspace(max(self.p0, 0.25), _DOUBLING_P_HI, _DOUBLING_SAMPLES)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ratios = self(2.0 * ps) / self(ps)
         return float(np.nanmax(ratios))
 
@@ -299,7 +300,7 @@ def _quasi_decreasing_witness(g: GrowthFunction, c: float, p_lo: float) -> float
     n_doublings = max(4, int(math.ceil(math.log2(_QD_P_HI / p_lo))))
     m = n_doublings * steps_per_doubling + 1
     ps = p_lo * 2.0 ** (np.arange(m) / steps_per_doubling)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.exp(c / ps) * np.asarray(g(ps), dtype=float)
     bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0))
     if not len(bad):
@@ -378,7 +379,7 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     witness: dict = {}
 
     ps = np.concatenate([np.linspace(0.0, 4.0, 33), np.geomspace(4.0, 4096.0, 64)])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(g(ps), dtype=float)
         pos = np.isfinite(vals) & (vals > 0)
         mono = np.all(np.diff(vals) >= -1e-9 * np.maximum(np.abs(vals[:-1]), 1e-300))
@@ -399,7 +400,7 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
 
     # condition (iv): geometric-tail domination, checked by direct summation
     js = np.arange(_TAIL_TERMS, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = 2.0 ** (-js * kappa) * np.asarray(g(js), dtype=float)
     tail_ratio: float | None = None
     finite_terms = bool(np.all(np.isfinite(terms)))
@@ -408,8 +409,9 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
         witness["tail_sum"] = "tail terms do not decay (sum diverges or overflows)"
     else:
         tails = np.cumsum(terms[::-1])[::-1]
-        heads = 2.0 ** (-np.arange(_HEADS) * kappa) * np.asarray(g(np.arange(_HEADS)), dtype=float)
-        ratios = tails[:_HEADS] / heads
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            heads = 2.0 ** (-np.arange(_HEADS) * kappa) * np.asarray(g(np.arange(_HEADS)), dtype=float)
+            ratios = tails[:_HEADS] / heads
         tail_ratio = float(ratios.max())
         passes["tail_sum"] = bool(np.isfinite(tail_ratio))
         if not passes["tail_sum"]:
@@ -439,7 +441,10 @@ class OsgoodSpec:
     """Modulus L on (0, epsilon_L) and the end toward which to integrate.
 
     For INFINITY_END the modulus plays the role of y in dr/(r y(r)) over
-    (1, inf); epsilon_L is ignored there.
+    (1, inf); epsilon_L is ignored there.  osgood_test calls the modulus on
+    whole blocks of decades, so it may be evaluated up to _BLOCK - 1 = 7
+    decades past the one that decides the verdict, though never past
+    x = log r = -700.
     """
     modulus: Callable[[np.ndarray], np.ndarray]
     epsilon_L: float = 1.0
@@ -474,13 +479,38 @@ class OsgoodResult:
     tail_exponent: float | None = None
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _NODES Gauss-Legendre nodes and weights on [-1, 1], built on the
+    first march rather than at import, which would pay for importing
+    numpy.polynomial (about 4 ms)."""
+    return np.polynomial.legendre.leggauss(_NODES)
+
+
+def _decade_increments(modulus, x0: float, step: float, n_decades: int, zero: bool):
+    """Yield (k, increment of decade k) for k < n_decades, the decade from
+    x = x0 + k step to x0 + (k + 1) step, one modulus call per _BLOCK decades;
+    a block is built only once the march asks for its first decade."""
+    nodes, weights = _gauss_legendre()
+    for k0 in range(0, n_decades, _BLOCK):
+        ks = np.arange(k0, min(k0 + _BLOCK, n_decades))
+        a = x0 + ks * step
+        b = a + step
+        w = 0.5 * np.abs(b - a)  # half-widths, one per decade
+        r = np.exp(w[:, None] * nodes + 0.5 * (a + b)[:, None])
+        vals = np.asarray(modulus(r.ravel()), dtype=float).reshape(r.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            incs = w * np.sum(weights * ((r if zero else 1.0) / vals), axis=1)
+        yield from zip(ks.tolist(), incs.tolist())
+
+
 def osgood_test(spec: OsgoodSpec) -> OsgoodResult:
     """Integrate the Osgood integrand decade by decade toward the singular end.
 
     One march serves both ends: with r = e^x it integrates r / L(r) dx down
     from x = log epsilon_L toward zero, or dx / y(r) up from x = 0 toward
-    infinity, one modulus call per decade, for at most _DECADES decades and
-    none past x = -700, where e^x would underflow.
+    infinity, one modulus call per block of _BLOCK decades, for at most
+    _DECADES decades and none past x = -700, where e^x would underflow.
     Divergent when the partial integral passes the divergence threshold while
     still growing, Convergent when per-decade increments Cauchy-stabilize.
     When neither fast exit fires within the march, the tail increments are
@@ -489,21 +519,14 @@ def osgood_test(spec: OsgoodSpec) -> OsgoodResult:
     alone cannot decide divergence.
     """
     spec.validate()
-    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
     ln10 = math.log(10.0)
     zero = spec.orientation is OsgoodOrientation.ZERO_END
     x0, step = (math.log(spec.epsilon_L), -ln10) if zero else (0.0, ln10)
+    n_decades = min(_DECADES, int((x0 + 700.0) / ln10))
 
     rows, increments, total = [], [], 0.0
     verdict, stop = None, _EXITS[4]
-    for k in range(min(_DECADES, int((x0 + 700.0) / ln10))):
-        a = x0 + k * step
-        b = a + step
-        w = 0.5 * abs(b - a)  # the decade from x = a to x = b, half-width w
-        r = np.exp(w * nodes + 0.5 * (a + b))
-        vals = np.asarray(spec.modulus(r), dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inc = float(w * np.sum(weights * ((r if zero else 1.0) / vals)))
+    for k, inc in _decade_increments(spec.modulus, x0, step, n_decades, zero):
         if not math.isfinite(inc):
             stop = _EXITS[3]
             break

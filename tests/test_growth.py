@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osgood import growth as growth_module
 from osgood.errors import HypothesisViolated, InvalidModulus, NonPositiveArgument, SearchDivergence
 from osgood.growth import (
     GrowthFunction,
@@ -451,6 +453,34 @@ USER_SPECS = [
 ]
 
 
+# (spec, trace rows, exit): march stops at or next to a block edge
+BLOCK_EDGE_SPECS = [
+    (OsgoodSpec(modulus=lambda r: r / 100.0), 1, "divergence threshold"),  # decade 0
+    (OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-12), 8, "Cauchy stop"),  # decade 7
+    (OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-11), 9, "Cauchy stop"),  # decade 8
+    (OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-4), 16, "Cauchy stop"),  # decade 15
+    (OsgoodSpec(modulus=np.sqrt, epsilon_L=1e-3), 17, "Cauchy stop"),  # decade 16
+    (OsgoodSpec(modulus=lambda r: np.sqrt(r) / 1e-6, orientation=OsgoodOrientation.INFINITY_END),
+     8, "Cauchy stop"),  # decade 7
+    (OsgoodSpec(modulus=lambda r: np.sqrt(r) / 0.01, orientation=OsgoodOrientation.INFINITY_END),
+     16, "Cauchy stop"),  # decade 15
+    (OsgoodSpec(modulus=_nan_below(10.0 ** -8.5 * 0.3), epsilon_L=0.3), 8, "non-finite increment"),
+    (OsgoodSpec(modulus=_nan_below(10.0 ** -15.5 * 0.3), epsilon_L=0.3), 15, "non-finite increment"),
+    (OsgoodSpec(modulus=_nan_below(10.0 ** -16.5 * 0.3), epsilon_L=0.3), 16, "non-finite increment"),
+    # 24 decades from 1e-280 to the x = -700 limit, three whole blocks
+    (OsgoodSpec(modulus=_nan_below(0.0), epsilon_L=1e-280), 24, "decades exhausted"),
+    (OsgoodSpec(modulus=_nan_below(10.0 ** -300.5), epsilon_L=1e-280), 20, "non-finite increment"),
+    # 21 decades from 1e-283, the last block holding five
+    (OsgoodSpec(modulus=_nan_below(0.0), epsilon_L=1e-283), 21, "decades exhausted"),
+    (OsgoodSpec(modulus=_nan_below(1e-301), epsilon_L=1e-283), 18, "non-finite increment"),
+]
+BLOCK_EDGE_IDS = [
+    "linear/100 k0", "sqrt k7", "sqrt k8", "sqrt k15", "sqrt k16", "inf sqrt k7", "inf sqrt k15",
+    "nan k8", "nan k15", "nan k16", "1e-280 exhausted", "1e-280 nan k20", "1e-283 exhausted",
+    "1e-283 nan k18",
+]
+
+
 def _assert_same_march(spec):
     out = osgood_test(spec)
     verdict, total, trace, tail_q = _two_branch_osgood(spec)
@@ -475,6 +505,74 @@ class TestOneMarchGate:
     @pytest.mark.parametrize("i", range(len(USER_SPECS)))
     def test_user_moduli(self, i):
         _assert_same_march(USER_SPECS[i])
+
+    @pytest.mark.parametrize("spec, last, reason", BLOCK_EDGE_SPECS, ids=BLOCK_EDGE_IDS)
+    def test_block_edges(self, spec, last, reason):
+        # the march evaluates _BLOCK = 8 decades per modulus call; stops at
+        # the first and last decade of a block, and in the last (partial)
+        # block before x = -700, keep every output of the decade-by-decade march
+        _assert_same_march(spec)
+        out = osgood_test(spec)
+        assert (len(out.trace), out.exit) == (last, reason)
+
+
+class _CountingModulus:
+    """A user modulus that records the r of every call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, r):
+        self.calls.append(np.array(r, dtype=float))
+        return self.fn(r)
+
+
+# (spec, decades the march evaluates): marches that no stop rule ends
+FULL_MARCHES = [
+    (OsgoodSpec(modulus=lambda r: np.log1p(r) ** 2, orientation=OsgoodOrientation.INFINITY_END), 280),
+    (OsgoodSpec(modulus=lambda r: r * np.log(1.0 / r), epsilon_L=1e-30), 274),
+    (OsgoodSpec(modulus=_nan_below(0.0), epsilon_L=1e-280), 24),
+    (OsgoodSpec(modulus=_nan_below(0.0), epsilon_L=1e-283), 21),
+]
+
+
+class TestMarchBlocks:
+    """One modulus call per block of _BLOCK decades: the call count, and how
+    far past the deciding decade the modulus is evaluated."""
+
+    @staticmethod
+    def _run(spec):
+        modulus = _CountingModulus(spec.modulus)
+        return osgood_test(replace(spec, modulus=modulus)), modulus.calls
+
+    @pytest.mark.parametrize("spec, decades", FULL_MARCHES, ids=["inf 280", "1e-30", "1e-280", "1e-283"])
+    def test_full_march_calls_once_per_block(self, spec, decades):
+        out, calls = self._run(spec)
+        assert len(out.trace) == decades and out.exit in ("tail fit", "decades exhausted")
+        # one call from validate, then one per block of eight decades
+        assert len(calls) == 1 + math.ceil(decades / 8)
+        assert [len(r) for r in calls[1:]] == [32 * min(8, decades - k) for k in range(0, decades, 8)]
+
+    @pytest.mark.parametrize("spec, last, reason", BLOCK_EDGE_SPECS, ids=BLOCK_EDGE_IDS)
+    def test_reach_ends_with_the_deciding_block(self, spec, last, reason):
+        out, calls = self._run(spec)
+        # the deciding decade is the last row, or the non-finite one after it
+        k = last if reason == "non-finite increment" else last - 1
+        edge = 8 * (k // 8) + 8  # the far end of the deciding block, in decades
+        assert len(calls) == 1 + k // 8 + 1
+        march = np.concatenate(calls[1:])
+        if spec.orientation is OsgoodOrientation.INFINITY_END:
+            assert march.max() < 10.0 ** edge
+        else:
+            assert march.min() > spec.epsilon_L * 10.0 ** -edge
+            assert march.min() > math.exp(-700.0)
+
+    def test_nodes_and_weights_are_leggauss(self):
+        # built once, and bit for bit the rule the march used to rebuild per decade
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert growth_module._gauss_legendre() is growth_module._gauss_legendre()
+        assert np.array_equal(growth_module._gauss_legendre()[0], nodes)
+        assert np.array_equal(growth_module._gauss_legendre()[1], weights)
 
 
 def _doubling_ratio_stable(f, p_lo, p_hi=2048.0, slack=1.05, settle_p=None):
@@ -562,6 +660,16 @@ class TestPClass:
             ratio = terms[N:].sum() / (2.0 ** (-float(N)) * float(g(float(N))))
             worst = max(worst, ratio)
         assert rep.tail_ratio == pytest.approx(worst, rel=1e-6)
+
+    @pytest.mark.parametrize("log_alphas, p0, doubling", [((1.0,), 2.0, 4.0), ((1.0, 1.0), 3.0, 20.227050986243572)])
+    def test_log_factors_report_without_warning(self, log_alphas, p0, doubling):
+        # log 0 at p = 0 (the monotone sample, the tail sum's j = 0) and
+        # log log 1 at p = 1 are report entries, not RuntimeWarnings
+        rep = pclass_check(GrowthFunction.log_power(1.0, log_alphas, p0=p0), kappa=1.0)
+        assert rep.passes == {"monotone": False, "doubling": True, "quasi_decreasing": False, "tail_sum": False}
+        assert rep.witness["monotone"] == 0.0 and rep.witness["quasi_decreasing"] == 0.5
+        assert rep.witness["tail_sum"].startswith("tail terms do not decay")
+        assert rep.tail_ratio is None and rep.doubling_constant == doubling
 
 
 class TestTable:
