@@ -81,10 +81,6 @@ class ModulusEnvelope:
     norm_reference: float
     norm_choice: str
 
-    def rows(self):
-        for h, m, e in zip(self.h_samples, self.measured, self.envelope):
-            yield h, m, e, (m / e if e > 0 else np.inf)
-
 
 def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float, lift: bool = True) -> np.ndarray:
     """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p)."""

@@ -403,8 +403,11 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = 2.0 ** (-js * kappa) * np.asarray(g(js), dtype=float)
     tail_ratio: float | None = None
-    finite_terms = bool(np.all(np.isfinite(terms)))
-    if not finite_terms or terms[-1] > 1e-12 * max(float(np.nanmax(terms)), 1.0):
+    nonfinite = np.flatnonzero(~np.isfinite(terms))
+    if len(nonfinite):
+        passes["tail_sum"] = False
+        witness["tail_sum"] = f"tail term {nonfinite[0]} is {terms[nonfinite[0]]:g}, not finite"
+    elif terms[-1] > 1e-12 * max(float(terms.max()), 1.0):
         passes["tail_sum"] = False
         witness["tail_sum"] = "tail terms do not decay (sum diverges or overflows)"
     else:

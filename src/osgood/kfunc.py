@@ -20,6 +20,8 @@ from .growth import GrowthFunction, _with_p0, yudovich
 
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
+_ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
+_TIES = 64  # extreme samples per side the modulus's oscillation shortcut pairs
 
 
 def default_t_grid(lo: float = 1e-6, hi: float = 1e3, m: int = 64) -> np.ndarray:
@@ -109,45 +111,110 @@ def k_lp_bmo(f: GridField, p0: float, lam: float = 0.25, t_grid=None) -> KCurve:
 
 # -- (L^inf, Lip) ---------------------------------------------------------------
 
+def _chords(h: float, spacing: float, half: int) -> np.ndarray:
+    """Chord half-widths bx(dy), dy = 0..a, of the offset disc |d| <= h:
+    a = floor(h/spacing) and bx(dy) = floor(sqrt((h/spacing)^2 - dy^2)), each
+    with a 1e-12 allowance and capped at half = n//2; empty for h < 0.
+
+    The offsets of the disc are (dy, dx) with |dy| <= a and |dx| <= bx(|dy|),
+    wrapped periodically, so a wrapped offset (oy, ox) is in it exactly when
+    its shortest representative is: min(oy, n - oy) <= a and
+    min(ox, n - ox) <= bx(min(oy, n - oy)), bx never growing with |dy|.
+    """
+    a = min(int(np.floor(h / spacing + 1e-12)), half)
+    dy = np.arange(a + 1)
+    chord2 = (h / spacing) ** 2 - dy * dy
+    return np.minimum(np.floor(np.sqrt(np.maximum(chord2, 0.0)) + 1e-12), half).astype(int)
+
+
+def _extreme_offsets(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest wrapped offsets (dy, dx) from each of the first _TIES maximum
+    samples of v to each of its first _TIES minimum samples."""
+    n = v.shape[0]
+    py, px = np.divmod(np.flatnonzero(v == v.max())[:_TIES], n)
+    qy, qx = np.divmod(np.flatnonzero(v == v.min())[:_TIES], n)
+    oy, ox = (qy[None, :] - py[:, None]) % n, (qx[None, :] - px[:, None]) % n
+    return np.minimum(oy, n - oy).ravel(), np.minimum(ox, n - ox).ravel()
+
+
+def _sweep(v: np.ndarray, padded: np.ndarray, chords: list) -> list:
+    """max of v - lower for each disc of chords, from one widening sweep.
+
+    One running row-minimum widens a column offset at a time, against slices
+    of v padded by n//2 columns on each side, up to the widest chord; at
+    width w it is folded into the lower envelope of every disc whose chord
+    at row dy is w, as slice minima against the rows +dy and -dy, wrapped.
+    Each disc's envelope then holds the minimum over exactly its offsets.
+    """
+    n = v.shape[0]
+    half = n // 2
+    lowers = np.full((len(chords),) + v.shape, np.inf)
+    folds = [[] for _ in range(max(int(bx[0]) for bx in chords) + 1)]
+    for lower, bx in zip(lowers, chords):
+        for dy, w in enumerate(bx):
+            folds[w].append((lower, dy))
+    rowmin = v.copy()
+    for w, fold in enumerate(folds):
+        if w:
+            np.minimum(rowmin, padded[:, half + w:half + w + n], out=rowmin)
+            np.minimum(rowmin, padded[:, half - w:half - w + n], out=rowmin)
+        for lower, dy in fold:
+            # lower[r] against rowmin[r + dy] and rowmin[r - dy], wrapped
+            for s in {dy, (n - dy) % n}:
+                np.minimum(lower[:n - s], rowmin[s:], out=lower[:n - s])
+                np.minimum(lower[n - s:], rowmin[:s], out=lower[n - s:])
+    return [float(np.subtract(v, lower, out=lower).max()) for lower in lowers]
+
+
 def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values) -> np.ndarray:
     """Exact grid modulus sup over |x-y| <= h of |v(x)-v(y)|, per h.
 
-    The offsets (dy, dx) visited are those with |dy| <= a = floor(h/spacing)
-    and |dx| <= bx(dy), the chord half-width of the Euclidean ball, both
-    capped at n//2; wrapping is periodic throughout.  The chord never widens
-    as |dy| grows, so each h walks dy from a down to 0 while one running
-    row-minimum widens a column offset at a time, taken against slices of
-    the field padded once by n//2 columns on each side; the rows +dy and -dy
-    are folded in as slice minima.  Work is O(n^2 a) per h, memory four
-    n x n arrays per component.  For vector data the maximum over components
-    is taken.
+    The offsets (dy, dx) visited are those of `_chords`' disc, wrapped
+    periodically; the modulus is the largest v - lower, lower the minimum of
+    v over the disc about each sample.  For vector data the maximum over
+    components is taken, components running in order of decreasing
+    oscillation max - min, which bounds their modulus.  Per component and h:
+
+    - h is skipped when the components done already reach the oscillation;
+    - when the disc holds the offset from one of the first _TIES maximum
+      samples to one of the first _TIES minimum samples, the modulus is
+      max - min, the difference the envelope would give;
+    - otherwise h joins a batch of ascending radii that `_sweep` serves with
+      one widening sweep, holding _ENVELOPE_BYTES of envelopes.
+
+    min and max are exact and fl(a - b) is monotone in b, so each route gives
+    the same bits.  Work is O(n^2 a) per swept h.
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     out = np.zeros(len(hs))
-    for comp in fields:
-        v = np.asarray(comp, dtype=float)
+    comps = [np.asarray(c, dtype=float) for c in fields]
+    if any(v.ndim != 2 or v.shape[0] != v.shape[1] for v in comps):
+        # n = shape[0] wraps both axes; a shortcut would not see a mismatch
+        raise ValueError("each component must be a square 2-d array")
+    osc = [float(v.max() - v.min()) for v in comps]
+    for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
+        v = comps[k]
         n = v.shape[0]
         half = n // 2
+        chords = [_chords(h, spacing, half) for h in hs]
+        ey, ex = _extreme_offsets(v)
+        swept = []
+        for i, bx in enumerate(chords):
+            if len(bx) == 0 or out[i] >= osc[k]:
+                continue
+            # with an infinite sample, inf - inf = nan in the envelope's
+            # difference can stand where max - min reads inf
+            if np.isfinite(osc[k]) and np.any((ey < len(bx)) & (ex <= bx[np.minimum(ey, len(bx) - 1)])):
+                out[i] = osc[k]
+            else:
+                swept.append(i)
+        swept.sort(key=lambda i: hs[i])
+        batch = max(1, _ENVELOPE_BYTES // v.nbytes)
         padded = np.pad(v, ((0, 0), (half, half)), mode="wrap")
-        rowmin = np.empty_like(v)
-        lower = np.empty_like(v)
-        for i, h in enumerate(hs):
-            a = min(int(np.floor(h / spacing + 1e-12)), half)
-            rowmin[:] = v
-            lower.fill(np.inf)
-            width = 0
-            for dy in range(a, -1, -1):
-                chord2 = (h / spacing) ** 2 - dy * dy
-                bx = min(int(np.floor(np.sqrt(max(chord2, 0.0)) + 1e-12)), half)
-                for dx in range(width + 1, bx + 1):
-                    np.minimum(rowmin, padded[:, half + dx:half + dx + n], out=rowmin)
-                    np.minimum(rowmin, padded[:, half - dx:half - dx + n], out=rowmin)
-                width = bx
-                # lower[r] against rowmin[r + dy] and rowmin[r - dy], wrapped
-                for s in {dy, (n - dy) % n}:
-                    np.minimum(lower[:n - s], rowmin[s:], out=lower[:n - s])
-                    np.minimum(lower[n - s:], rowmin[:s], out=lower[n - s:])
-            out[i] = max(out[i], float((v - lower).max()))
+        for b in range(0, len(swept), batch):
+            ids = swept[b:b + batch]
+            for i, m in zip(ids, _sweep(v, padded, [chords[i] for i in ids])):
+                out[i] = max(out[i], m)
     return out if np.ndim(h_values) else float(out[0])
 
 

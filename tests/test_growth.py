@@ -647,6 +647,14 @@ class TestPClass:
         g = GrowthFunction.from_callable("2^p", lambda p: 2.0**p, p0=1.0)
         rep = pclass_check(g, kappa=1.0)
         assert not rep.passes["tail_sum"]
+        # 2^p overflows at p = 1024, and the witness names that term
+        assert rep.witness["tail_sum"] == "tail term 1024 is inf, not finite"
+
+    def test_finite_tail_that_does_not_decay(self):
+        # at kappa = 0 the terms Theta(j) = j + 1 stay finite and grow
+        rep = pclass_check(GrowthFunction.power(1.0, p0=1.0, shift=1.0), kappa=0.0)
+        assert not rep.passes["tail_sum"] and rep.tail_ratio is None
+        assert rep.witness["tail_sum"] == "tail terms do not decay (sum diverges or overflows)"
 
     def test_affine_log_passes_with_recorded_tail(self):
         g = GrowthFunction.log_power(1.0, (1.0,), p0=1.0, shifted=True)
@@ -668,7 +676,8 @@ class TestPClass:
         rep = pclass_check(GrowthFunction.log_power(1.0, log_alphas, p0=p0), kappa=1.0)
         assert rep.passes == {"monotone": False, "doubling": True, "quasi_decreasing": False, "tail_sum": False}
         assert rep.witness["monotone"] == 0.0 and rep.witness["quasi_decreasing"] == 0.5
-        assert rep.witness["tail_sum"].startswith("tail terms do not decay")
+        # Pi(0) = 0 log 0 is nan: the witness names the term, not a divergence
+        assert rep.witness["tail_sum"] == "tail term 0 is nan, not finite"
         assert rep.tail_ratio is None and rep.doubling_constant == doubling
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from osgood.kfunc import (
     extrapolation_sup,
     default_t_grid,
     modulus_of_continuity,
+    _h_grid,
 )
 
 rng = np.random.default_rng(7)
@@ -162,6 +164,12 @@ class TestKLinfLip:
         both = modulus_of_continuity([v1, v2], 2 * np.pi / n, np.array([1.0]))
         assert both[0] == pytest.approx(single[0])
 
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 8), (16,)])
+    def test_non_square_component_rejected(self, shape):
+        v = np.zeros(shape) + np.arange(shape[-1])
+        with pytest.raises(ValueError, match="square 2-d array"):
+            modulus_of_continuity([np.zeros((8, 8)), v], 0.1, np.array([0.3]))
+
     def test_default_t_grid_follows_the_domain(self):
         data = np.random.default_rng(8).standard_normal((16, 16))
         assert k_linf_lip(torus_field(data)).t_samples[-1] == np.pi
@@ -210,6 +218,21 @@ def _gate_h_values(n):
 def _gate_field(n, kind):
     if kind == "random":
         return np.random.default_rng(n).standard_normal((n, n))
+    if kind == "adjacent_extremes":
+        # max and min one cell apart across the column seam: the modulus is
+        # max - min from h = spacing on
+        v = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        v[n // 3, n - 1], v[n // 3, 0] = 5.0, -5.0
+        return v
+    if kind == "tied_extremes":
+        # three maximum and three minimum samples, the nearest pair two rows
+        # and one column apart across the row seam
+        v = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        v[[0, n // 2, n // 4], [0, n // 2, 3 * n // 4]] = 3.0
+        v[[n - 2, n // 4, 3 * n // 4], [1, 0, n // 4]] = -3.0
+        return v
+    if kind == "constant":
+        return np.full((n, n), 2.5)
     return log_power_field(n).data
 
 
@@ -218,7 +241,7 @@ class TestModulusExactness:
     min is exact, so the results agree bit for bit."""
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
-    @pytest.mark.parametrize("kind", ["random", "log_singular"])
+    @pytest.mark.parametrize("kind", ["random", "log_singular", "adjacent_extremes", "tied_extremes", "constant"])
     def test_bit_identical(self, n, kind):
         v = _gate_field(n, kind)
         s = 2 * np.pi / n
@@ -234,6 +257,36 @@ class TestModulusExactness:
         s = 2 * np.pi / n
         hs = _gate_h_values(n)
         assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_bit_identical_below_the_first_modulus(self, n, order):
+        # the second component's oscillation is below the first's modulus
+        # from h = spacing on, so it is skipped there; either listed first
+        comps = [_gate_field(n, "random"), 0.05 * _gate_field(n, "log_singular")][::order]
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
+    @pytest.mark.parametrize("kind", ["random", "log_singular"])
+    def test_bit_identical_on_the_descending_h_grid(self, kind):
+        v = torus_field(_gate_field(128, kind))
+        hs = _h_grid(v)[::-1]
+        assert np.array_equal(modulus_of_continuity([v.data], v.spacing, hs),
+                              _reference_modulus([v.data], v.spacing, hs))
+
+    def test_peak_memory_of_a_velocity_call(self):
+        # two 128^2 components on the 48-point grid: the batched lower
+        # envelopes are held to 512 KiB, so the call peaks well below 2 MiB
+        comps = [_gate_field(128, "random"), _gate_field(128, "log_singular")]
+        v = torus_field(comps[0])
+        tracemalloc.start()
+        try:
+            modulus_of_continuity(comps, v.spacing, _h_grid(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     @given(st.sampled_from((4, 8, 16, 32)), st.integers(0, 2**32 - 1), st.integers(0, 31), st.integers(0, 31))
     def test_periodic_shift_leaves_the_modulus_unchanged(self, n, seed, a, b):
