@@ -237,9 +237,6 @@ def _spread(a: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SharpMaximalField:
-    base: GridField
-    lam: float
-    cube_sides: tuple
     result: GridField
 
 
@@ -292,10 +289,7 @@ def sharp_maximal(f: GridField, lam: float = 0.25) -> SharpMaximalField:
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
-    return SharpMaximalField(
-        base=f, lam=lam, cube_sides=tuple(cube_levels(f.n)),
-        result=_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam)),
-    )
+    return SharpMaximalField(_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam)))
 
 
 def fefferman_stein_sharp(f: GridField) -> GridField:

@@ -41,6 +41,7 @@ _DIVERGE_AT, _DIVERGE_INC, _CAUCHY_TOL, _TAIL_CUT = 50.0, 0.01, 1e-9, 1.5
 _DOUBLING_P_HI, _DOUBLING_SAMPLES, _DOUBLING_CAP = 4096.0, 64, 1e6
 _QD_P_HI, _SLACK = 2048.0, 1.05
 _TAIL_TERMS, _HEADS = 4000, 64
+_NEIGHBOURS = np.array([[-1], [0], [1]])  # a hull vertex and its two neighbours
 
 
 @dataclass(frozen=True)
@@ -72,31 +73,47 @@ class GrowthFunction:
         """log Theta(p), taken under errstate and +inf wherever not finite (Theta
         overflowing, zero or negative): such p never attain the Yudovich infimum."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.log(np.asarray(self(p), dtype=float))
-        out = np.where(np.isfinite(out), out, np.inf)
-        return out if out.shape else float(out)
+            out = np.log(self(p))
+        if not np.ndim(out):
+            return float(out) if math.isfinite(out) else math.inf
+        out[~np.isfinite(out)] = np.inf
+        return out
 
     @cached_property
     def _hull(self):
         """(grid p, log p, log Theta(p), grid indices of the lower convex hull of
         the points (1/p, log Theta(p)) in ascending 1/p, its edge slopes), built once
-        into the instance dict; replace() and theta1 return new instances."""
+        into the instance dict; replace() and theta1 return new instances.
+
+        The hull is a monotone chain over the finite points in descending index:
+        the last vertex is popped while it lies on or above the chord from its
+        predecessor to the new point.  Until the first point that pops, the two
+        last vertices are always the two points before the new one, so the
+        chain's comparisons up to there are its predicate on each triple of
+        consecutive points: one numpy pass evaluates them all, with the same
+        float operations, and the loop runs only from the first failing triple.
+        Every point of a convex phi passes; collinear points, as for a
+        constant, fail at the first triple and leave the whole loop to run.
+        """
         ps = np.geomspace(self.p0, _P_TOP, _GRID)
         xs, phi = np.log(ps), self.log_value(ps)
-        s, f = (1.0 / ps).tolist(), phi.tolist()
-        # monotone chain: pop the last vertex while it lies on or above the
-        # chord from its predecessor to the new point
-        hull: list[int] = []
-        for i in range(_GRID - 1, -1, -1):
-            if f[i] == math.inf:
-                continue
-            while len(hull) >= 2:
-                a, b = hull[-2], hull[-1]
-                if (s[b] - s[a]) * (f[i] - f[a]) > (f[b] - f[a]) * (s[i] - s[a]):
-                    break
-                hull.pop()
-            hull.append(i)
-        v = np.array(hull, dtype=int)
+        s = 1.0 / ps
+        order = np.flatnonzero(phi < np.inf)[::-1]
+        sa, sb, si = s[order[:-2]], s[order[1:-1]], s[order[2:]]
+        fa, fb, fi = phi[order[:-2]], phi[order[1:-1]], phi[order[2:]]
+        kept = (sb - sa) * (fi - fa) > (fb - fa) * (si - sa)
+        first = len(kept) if kept.all() else int(np.argmin(kept))
+        v = order[:first + 2]
+        if first + 2 < len(order):
+            s, f, hull = s.tolist(), phi.tolist(), v.tolist()
+            for i in order[first + 2:].tolist():
+                while len(hull) >= 2:
+                    a, b = hull[-2], hull[-1]
+                    if (s[b] - s[a]) * (f[i] - f[a]) > (f[b] - f[a]) * (s[i] - s[a]):
+                        break
+                    hull.pop()
+                hull.append(i)
+            v = np.array(hull, dtype=int)
         return ps, xs, phi, v, np.diff(phi[v]) / np.diff(1.0 / ps[v])
 
     # -- constructors ------------------------------------------------------
@@ -218,7 +235,7 @@ def theta1(g: GrowthFunction) -> GrowthFunction:
 
 def _legendre(g: GrowthFunction, log_r: np.ndarray):
     """log y(r), the p attaining it and the index into _PATHS of how it was
-    found, for an array of log r > 0.
+    found, for a 1-d array of log r > 0.
 
     With s = 1/p and phi(s) = log Theta(1/s), log y(r) = min_s phi(s) + s log r
     is the Legendre transform of phi at -log r.  On a finite point set a linear
@@ -227,6 +244,8 @@ def _legendre(g: GrowthFunction, log_r: np.ndarray):
     vertex whose edge slopes bracket -log r, found by one binary search.  It and
     its two hull neighbours each take one parabolic vertex step through their
     grid neighbours, kept where convex and lower, so each value is attained.
+    Clamps are np.minimum of np.maximum, which is np.clip bit for bit (nan
+    included), and masks are applied in place.
     """
     ps, xs, phi, v, slopes = g._hull
     if not len(v):
@@ -240,26 +259,34 @@ def _legendre(g: GrowthFunction, log_r: np.ndarray):
     best = objective(k)
     # where the minimising vertex jumps across a non-convex stretch of phi a
     # neighbour's step can be the lower one; without it y can fall as r grows
-    c = np.clip(v[np.clip(j + np.array([[-1], [0], [1]]), 0, len(v) - 1)], 1, _GRID - 2)
+    c = np.minimum(np.maximum(v[np.minimum(np.maximum(j + _NEIGHBOURS, 0), len(v) - 1)], 1), _GRID - 2)
     fl, fc, fr = objective(c - 1), objective(c), objective(c + 1)
     h = xs[1] - xs[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         curv = fl - 2.0 * fc + fr
-        vx = np.clip(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1], xs[c + 1])
+        vx = np.minimum(np.maximum(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1]), xs[c + 1])
         fv = g.log_value(np.exp(vx)) + log_r * np.exp(-vx)
-    fv = np.where((curv > 0.0) & (fv < np.inf), fv, np.inf)
+    fv[~((curv > 0.0) & (fv < np.inf))] = np.inf
     i, cols = np.argmin(fv, axis=0), np.arange(len(log_r))
-    step = fv[i, cols] < best
-    argmin = np.where(step, np.exp(vx[i, cols]), ps[k])
-    return np.where(step, fv[i, cols], best), argmin, np.where(step, 3, np.where(k == 0, 1, 2))
+    fv, vx = fv[i, cols], vx[i, cols]
+    step = fv < best
+    argmin, path = ps[k], np.where(k == 0, 1, 2)
+    best[step], argmin[step], path[step] = fv[step], np.exp(vx)[step], 3
+    return best, argmin, path
 
 
 def _yudovich(g: GrowthFunction, r):
     """y(r), the p attaining it and the _PATHS index, shaped like r; for r <= 1
-    the objective increases in p, so y(r) is the p0 boundary value in closed form."""
+    the objective increases in p, so y(r) is the p0 boundary value in closed form.
+    When every r > 1, as in every call of the Osgood march, all of them go to
+    _legendre at once."""
     rs = np.asarray(r, dtype=float)
-    if np.any(~(rs > 0.0) | (rs == np.inf)):
+    lo, hi = (rs.min(), rs.max()) if rs.size else (1.0, 1.0)
+    if not (lo > 0.0 and hi < np.inf):
         raise NonPositiveArgument(f"r must be finite and > 0, got {r}")
+    if lo > 1.0:
+        log_y, argmins, path = _legendre(g, np.log(rs.ravel()))
+        return np.exp(log_y).reshape(rs.shape), argmins.reshape(rs.shape), path.reshape(rs.shape)
     values, argmins, path = np.empty_like(rs), np.full_like(rs, g.p0), np.zeros(rs.shape, dtype=int)
     big = rs > 1.0
     values[~big] = float(g(g.p0)) * rs[~big] ** (1.0 / g.p0)

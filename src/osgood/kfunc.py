@@ -183,7 +183,8 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
       one widening sweep, holding _ENVELOPE_BYTES of envelopes.
 
     min and max are exact and fl(a - b) is monotone in b, so each route gives
-    the same bits.  Work is O(n^2 a) per swept h.
+    the same bits.  Work is O(n^2 a) per swept h.  A component that is not a
+    square 2-d array of finite samples raises ValueError.
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     out = np.zeros(len(hs))
@@ -191,6 +192,9 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     if any(v.ndim != 2 or v.shape[0] != v.shape[1] for v in comps):
         # n = shape[0] wraps both axes; a shortcut would not see a mismatch
         raise ValueError("each component must be a square 2-d array")
+    if not all(np.isfinite(v).all() for v in comps):
+        # a nan, or inf - inf, in v - lower would read as a zero modulus
+        raise ValueError("component samples must be finite")
     osc = [float(v.max() - v.min()) for v in comps]
     for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
         v = comps[k]
@@ -202,9 +206,7 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
         for i, bx in enumerate(chords):
             if len(bx) == 0 or out[i] >= osc[k]:
                 continue
-            # with an infinite sample, inf - inf = nan in the envelope's
-            # difference can stand where max - min reads inf
-            if np.isfinite(osc[k]) and np.any((ey < len(bx)) & (ex <= bx[np.minimum(ey, len(bx) - 1)])):
+            if np.any((ey < len(bx)) & (ex <= bx[np.minimum(ey, len(bx) - 1)])):
                 out[i] = osc[k]
             else:
                 swept.append(i)

@@ -227,6 +227,173 @@ class TestYudovichProperties:
         assert np.all(np.diff(scaled) <= MONOTONE_SLACK * scaled[:-1])
 
 
+def _reference_log_value(g, p):
+    """log Theta(p) as np.where once took it: +inf wherever not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.log(np.asarray(g(p), dtype=float))
+    out = np.where(np.isfinite(out), out, np.inf)
+    return out if out.shape else float(out)
+
+
+def _reference_hull(g):
+    """The hull as the plain monotone chain over every finite grid point."""
+    ps = np.geomspace(g.p0, growth_module._P_TOP, growth_module._GRID)
+    xs, phi = np.log(ps), _reference_log_value(g, ps)
+    s, f = (1.0 / ps).tolist(), phi.tolist()
+    hull = []
+    for i in range(len(ps) - 1, -1, -1):
+        if f[i] == math.inf:
+            continue
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (s[b] - s[a]) * (f[i] - f[a]) > (f[b] - f[a]) * (s[i] - s[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    v = np.array(hull, dtype=int)
+    return ps, xs, phi, v, np.diff(phi[v]) / np.diff(1.0 / ps[v])
+
+
+def _reference_legendre(g, log_r):
+    """The Legendre search with np.clip and np.where, on the reference hull."""
+    ps, xs, phi, v, slopes = _reference_hull(g)
+    if not len(v):
+        raise SearchDivergence("objective not finite anywhere")
+
+    def objective(k):
+        return phi[k] + log_r / ps[k]
+
+    j = np.searchsorted(slopes, -log_r)
+    k = v[j]
+    best = objective(k)
+    c = np.clip(v[np.clip(j + np.array([[-1], [0], [1]]), 0, len(v) - 1)], 1, len(ps) - 2)
+    fl, fc, fr = objective(c - 1), objective(c), objective(c + 1)
+    h = xs[1] - xs[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curv = fl - 2.0 * fc + fr
+        vx = np.clip(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1], xs[c + 1])
+        fv = _reference_log_value(g, np.exp(vx)) + log_r * np.exp(-vx)
+    fv = np.where((curv > 0.0) & (fv < np.inf), fv, np.inf)
+    i, cols = np.argmin(fv, axis=0), np.arange(len(log_r))
+    step = fv[i, cols] < best
+    argmin = np.where(step, np.exp(vx[i, cols]), ps[k])
+    return np.where(step, fv[i, cols], best), argmin, np.where(step, 3, np.where(k == 0, 1, 2))
+
+
+def _reference_yudovich(g, r):
+    """(values, argmins, paths) with every r scattered through one boolean mask."""
+    rs = np.asarray(r, dtype=float)
+    if np.any(~(rs > 0.0) | (rs == np.inf)):
+        raise NonPositiveArgument(f"r must be finite and > 0, got {r}")
+    values, argmins, path = np.empty_like(rs), np.full_like(rs, g.p0), np.zeros(rs.shape, dtype=int)
+    big = rs > 1.0
+    values[~big] = float(g(g.p0)) * rs[~big] ** (1.0 / g.p0)
+    if big.any():
+        log_y, argmins[big], path[big] = _reference_legendre(g, np.log(rs[big]))
+        values[big] = np.exp(log_y)
+    return values, argmins, path
+
+
+def _assert_same_hull(g):
+    got, ref = g._hull, _reference_hull(g)
+    assert len(got) == len(ref) == 5
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_yudovich(g, r):
+    got, ref = growth_module._yudovich(g, r), _reference_yudovich(g, r)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+# growths whose hull the vectorised prefix does not finish: every point
+# collinear, a non-convex head near p0, a constant tail past the table, an
+# infinite, a zero and a negative stretch before a constant tail, and no
+# finite point at all
+HULL_CASES = {
+    "constant": GrowthFunction.constant(1.7, p0=1.3),
+    "logpower head": GrowthFunction.log_power(0.5, (1.0,), p0=2.05),
+    "clamped table": GrowthFunction.from_table([1.0, 300.0], [40.0, 12000.0]),
+    "inf stretch": GrowthFunction.from_callable(
+        "gap", lambda p: np.where((p > 50.0) & (p < 4e3), np.inf, np.minimum(p, 1e6) ** 0.7), p0=1.5),
+    "zero and negative stretches": GrowthFunction.from_callable(
+        "holes", lambda p: np.where((p > 50.0) & (p < 4e3), 0.0,
+                                    np.where((p > 1e5) & (p < 1e7), -1.0, np.minimum(p, 1e6) ** 0.7)), p0=1.5),
+    "nowhere finite": GrowthFunction.from_callable("inf", lambda p: np.full_like(p, np.inf)),
+}
+MIXED_RS = np.array([1e-300, 0.25, 0.999, 1.0, 1.0 + 2.0**-52, 1.5, 7.0, 1e3, 1e30, 1e300])
+
+
+class TestYudovichKernelExactness:
+    """The hull's no-pop prefix, built in one numpy pass, and the trimmed call
+    path give the plain chain's and the masked scatter's bits."""
+
+    @pytest.mark.parametrize("name", HULL_CASES)
+    def test_hull_cases(self, name):
+        g = HULL_CASES[name]
+        _assert_same_hull(g)
+        ps, _, phi, v, _ = g._hull
+        # the chain pops here, so the loop runs past the prefix
+        assert len(v) < np.count_nonzero(phi < np.inf) or not len(v)
+        if name == "nowhere finite":
+            with pytest.raises(SearchDivergence):
+                yudovich(g, 10.0)
+            with pytest.raises(SearchDivergence):
+                yudovich(g, np.array([2.0, 10.0]))
+        else:
+            _assert_same_yudovich(g, MIXED_RS)
+            _assert_same_yudovich(g, MIXED_RS[4:])
+
+    @pytest.mark.parametrize("name", HULL_CASES)
+    def test_log_value(self, name):
+        g = HULL_CASES[name]
+        for p in (g.p0, 7.0, 100.0, 1e4, 1e6, 1e12):
+            assert g.log_value(p) == _reference_log_value(g, p)
+            assert isinstance(g.log_value(p), float)
+
+    @PROPERTY
+    @given(growths())
+    def test_hull_property(self, g):
+        _assert_same_hull(g)
+
+    @PROPERTY
+    @given(growths(), log_rs)
+    def test_call_path_mixing_both_sides_of_one(self, g, ls):
+        _assert_same_yudovich(g, np.exp(ls))
+
+    @PROPERTY
+    @given(growths(), st.lists(st.floats(0.01, 690.0), min_size=1, max_size=24))
+    def test_call_path_above_one(self, g, ls):
+        rs = np.exp(ls)
+        _assert_same_yudovich(g, rs)
+        if len(rs) % 2 == 0:
+            _assert_same_yudovich(g, rs.reshape(2, -1))
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 1e40], ids=str)
+    def test_scalar_and_zero_d(self, r):
+        for g in (LINEAR, HULL_CASES["logpower head"], theta1(CONST)):
+            _assert_same_yudovich(g, r)
+            _assert_same_yudovich(g, np.array(r))
+            assert isinstance(yudovich(g, r), float) and isinstance(yudovich(g, np.array(r)), float)
+            assert yudovich(g, r) == float(_reference_yudovich(g, r)[0])
+
+    def test_empty_array(self):
+        out = yudovich(LINEAR, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        _assert_same_yudovich(LINEAR, np.array([]))
+        # no hull is needed, so not even a nowhere-finite growth raises
+        assert yudovich(HULL_CASES["nowhere finite"], np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=str)
+    def test_bad_argument(self, bad):
+        for r in (bad, np.array(bad), np.array([bad]), np.array([2.0, bad, 5.0]), np.array([0.5, bad])):
+            with pytest.raises(NonPositiveArgument):
+                yudovich(LINEAR, r)
+        with pytest.raises(NonPositiveArgument):
+            yudovich_eval(LINEAR, bad)
+
+
 class TestTheta1:
     def test_pointwise_product(self):
         g = theta1(LINEAR)

@@ -170,6 +170,15 @@ class TestKLinfLip:
         with pytest.raises(ValueError, match="square 2-d array"):
             modulus_of_continuity([np.zeros((8, 8)), v], 0.1, np.array([0.3]))
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "+inf", "-inf", "+-inf"])
+    def test_non_finite_component_rejected(self, bad):
+        # a nan in v - lower once read as a zero modulus at every h
+        v = np.random.default_rng(3).standard_normal((16, 16))
+        v.flat[[5, 77][:len(bad)]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            modulus_of_continuity([np.zeros((16, 16)), v], 2 * np.pi / 16, np.array([0.3, 1.0, 3.0]))
+
     def test_default_t_grid_follows_the_domain(self):
         data = np.random.default_rng(8).standard_normal((16, 16))
         assert k_linf_lip(torus_field(data)).t_samples[-1] == np.pi
@@ -267,6 +276,17 @@ class TestModulusExactness:
         s = 2 * np.pi / n
         hs = _gate_h_values(n)
         assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_bit_identical_when_the_oscillation_overflows(self, n):
+        # finite samples whose max - min overflows: the shortcut and the
+        # envelope both read inf, and no nan can arise from finite samples
+        v = 1.5e308 * np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        with np.errstate(over="ignore"):
+            got, ref = modulus_of_continuity([v], s, hs), _reference_modulus([v], s, hs)
+        assert np.array_equal(got, ref) and np.isinf(got[-1])
 
     @pytest.mark.parametrize("kind", ["random", "log_singular"])
     def test_bit_identical_on_the_descending_h_grid(self, kind):
