@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasRisk, NonPositiveArgument
+from .errors import AliasRisk, InvalidExponent, NonPositiveArgument
 from .field import Domain, GridField, _fourier_grid, dyadic_bmo_norm, lp_norm
 from .growth import GrowthFunction, pclass_check, yudovich
 from .kfunc import BandSequence, _ratio, _sup_finite_ratio, k_seq
@@ -158,8 +158,11 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
 
     The grid realization truncates to j >= 0: integer frequencies have
     |xi| >= 1 once the mean is removed, so negative bands are empty.
-    Raises NonPositiveArgument if Pi(N) <= 0 for some N in that range.
+    Raises NonPositiveArgument if Pi(N) <= 0 for some N in that range, and
+    InvalidExponent for a beta not finite (a nan partial never wins the max).
     """
+    if not np.isfinite(beta):
+        raise InvalidExponent(f"beta must be finite, got {beta}")
     seq = d.band_norms() if isinstance(d, DyadicDecomposition) else d
     if not seq.entries:
         return 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spaces
 from .bands import besov_norm, decompose, spectral_gradient, vishik_norm
-from .errors import NonPositiveArgument, NonZeroMean
+from .errors import NonZeroMean
 from .field import GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
@@ -94,39 +94,31 @@ def modulus_envelope(
     beta: float,
     g: GrowthFunction,
     norm_choice: str = "sharp_yudovich",
-    p0: float = 4.0,
-    lam: float = 0.25,
     velocity: tuple[GridField, GridField] | None = None,
 ) -> ModulusEnvelope:
     """Measured velocity modulus against the growth-indexed envelope.
 
     The envelope is h * y(1/h) * N with y from the lifted growth when the
     oscillation-side norm is chosen (the classical pairing) and from the
-    growth itself when the band-side norm is chosen; N is the corresponding
-    norm of the vorticity.  fitted_c is the smallest constant making the
-    envelope dominate the measured modulus on the sample set: the 48-point
-    h grid from the grid spacing to half the side.
+    growth itself when the band-side norm is chosen; N, taken before any
+    velocity work, is sharp_yudovich_norm's direct value at its fixed p0 = 4
+    and lambda = 1/4, or the Vishik plus Besov band sums.  fitted_c is the
+    smallest constant making the envelope dominate the measured modulus on
+    the sample set: the 48-point h grid from the grid spacing to half the side.
     """
-    if norm_choice not in ("sharp_yudovich", "vishik"):
+    if norm_choice == "sharp_yudovich":
+        norm_ref = spaces.sharp_yudovich_norm(omega, g).direct_value
+    elif norm_choice == "vishik":
+        d = decompose(omega, warn_nyquist=False)
+        norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
+    else:
         raise ValueError(f"unknown norm choice {norm_choice!r}")
-    if norm_choice == "vishik" and not float(g(0.0)) > 0.0:
-        # Theta is non-decreasing, so Pi(0) > 0 is what vishik_norm needs
-        raise NonPositiveArgument(f"growth {g.name} has Pi(0) = {g(0.0):g}; the band norm divides by it")
     if velocity is None:
         velocity = biot_savart(omega, beta)
     v1, v2 = velocity
     hs = _h_grid(v1)
     measured = modulus_of_continuity([v1.data, v2.data], v1.spacing, hs)
-
-    if norm_choice == "sharp_yudovich":
-        report = spaces.sharp_yudovich_norm(omega, g, p0=p0, lam=lam)
-        norm_ref = report.direct_value
-        env = envelope_curve(g, hs, norm_ref, lift=True)
-    else:
-        d = decompose(omega, warn_nyquist=False)
-        norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
-        env = envelope_curve(g, hs, norm_ref, lift=False)
-
+    env = envelope_curve(g, hs, norm_ref, lift=norm_choice == "sharp_yudovich")
     return ModulusEnvelope(
         h_samples=hs, measured=measured, envelope=env,
         fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref, norm_choice=norm_choice,

@@ -6,7 +6,7 @@ class OsgoodError(Exception):
 
 
 class NonPositiveArgument(OsgoodError):
-    """An argument required to be positive was <= 0."""
+    """An argument required to be positive (or >= 0), or finite, was not."""
 
 
 class SearchDivergence(OsgoodError):
@@ -22,7 +22,7 @@ class InvalidModulus(OsgoodError):
 
 
 class InvalidExponent(OsgoodError):
-    """Lebesgue exponent outside [1, inf]."""
+    """Lebesgue exponent outside [1, inf] (or nan), or a band exponent that is not finite."""
 
 
 class InvalidLambda(OsgoodError):

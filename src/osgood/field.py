@@ -17,9 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidFieldFile, InvalidLambda
+from .errors import InvalidExponent, InvalidFieldFile, InvalidLambda, NonPositiveArgument
 
 _MIN_SIDE = 4  # the smallest dyadic cube side, in cells
+_LAMBDA = 0.25  # the trimmed fraction of the sharp maximal function
 
 
 class Domain(Enum):
@@ -110,16 +111,9 @@ class RearrangementProfile:
     cell_measure: float
     total_measure: float
 
-    @staticmethod
-    def of(f: GridField) -> "RearrangementProfile":
-        vals = np.sort(np.abs(f.data), axis=None)[::-1]
-        return RearrangementProfile(
-            values=vals, cell_measure=f.cell_measure, total_measure=f.total_measure
-        )
-
     def star(self, t):
-        """f*(t): right-continuous step value at measure t."""
-        t = np.asarray(t, dtype=float)
+        """f*(t): right-continuous step value at measure t >= 0."""
+        t = _measures(t)
         idx = np.floor(t / self.cell_measure).astype(int)
         out = np.where(
             idx < len(self.values),
@@ -133,14 +127,16 @@ class RearrangementProfile:
         return self.power_integral(t, 1.0)
 
     def double_star(self, t):
-        """f**(t) = (1/t) integral of f* over (0, t)."""
+        """f**(t) = (1/t) integral of f* over (0, t), for t > 0."""
         t = np.asarray(t, dtype=float)
+        if not np.all(t > 0.0):
+            raise NonPositiveArgument(f"measure t must be > 0, got {t[~(t > 0.0)][0]}")
         out = self.integral(t) / t
         return out if out.shape else float(out)
 
     def power_integral(self, t, p: float):
         """integral of (f*)^p over (0, t), exact on partial cells."""
-        t = np.asarray(t, dtype=float)
+        t = _measures(t)
         powered = self.values ** p
         prefix = np.concatenate([[0.0], np.cumsum(powered) * self.cell_measure])
         idx = np.minimum(np.floor(t / self.cell_measure).astype(int), len(self.values))
@@ -157,7 +153,7 @@ class RearrangementProfile:
         out is below 2^-53 / N, so together they are under half an ulp of a
         sum that is at least 1.  At high p the head is a few cells.
         """
-        if p != np.inf and p < 1.0:
+        if not p >= 1.0:
             raise InvalidExponent(f"p must be in [1, inf], got {p}")
         v = self.values
         m = float(v[0]) if len(v) else 0.0
@@ -170,8 +166,18 @@ class RearrangementProfile:
         return float(m * (scaled.sum() * self.cell_measure) ** (1.0 / p))
 
 
+def _measures(t) -> np.ndarray:
+    """t as a float array of measures, each finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    ok = (t >= 0.0) & (t < np.inf)
+    if not ok.all():
+        raise NonPositiveArgument(f"measure t must be finite and >= 0, got {t[~ok][0]}")
+    return t
+
+
 def rearrange(f: GridField) -> RearrangementProfile:
-    return RearrangementProfile.of(f)
+    vals = np.sort(np.abs(f.data), axis=None)[::-1]
+    return RearrangementProfile(values=vals, cell_measure=f.cell_measure, total_measure=f.total_measure)
 
 
 def lp_norm(f: GridField, p: float) -> float:
@@ -235,11 +241,6 @@ def _spread(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SharpMaximalField:
-    result: GridField
-
-
 def _cube_sweep(f: GridField, stat) -> GridField:
     """For each cell, the max of stat(samples of Q) over the dyadic cubes Q
     containing it; stat maps (b, b, side*side) blocks to (b, b) values.
@@ -278,18 +279,18 @@ def _mean_oscillation(blocks: np.ndarray) -> np.ndarray:
     return np.abs(blocks - blocks.mean(axis=-1, keepdims=True)).mean(axis=-1)
 
 
-def sharp_maximal(f: GridField, lam: float = 0.25) -> SharpMaximalField:
+def sharp_maximal(f: GridField, lam: float = _LAMBDA) -> GridField:
     """Local-oscillation maximal function: for each dyadic cube Q of side at
     least _MIN_SIDE = 4 cells and x in Q,
     the best-constant trimmed oscillation inf_c ((f-c) chi_Q)*(lam |Q|),
-    maximized over all cubes containing x.
+    maximized over all cubes containing x; the norms take lam = _LAMBDA.
 
     On samples the inner infimum is half the length of the shortest interval
     containing ceil((1-lam) m) of the cube's m sorted samples.
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
-    return SharpMaximalField(_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam)))
+    return _cube_sweep(f, lambda b: _trimmed_oscillation(b, lam))
 
 
 def fefferman_stein_sharp(f: GridField) -> GridField:

@@ -44,6 +44,12 @@ _TAIL_TERMS, _HEADS = 4000, 64
 _NEIGHBOURS = np.array([[-1], [0], [1]])  # a hull vertex and its two neighbours
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Raise NonPositiveArgument unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise NonPositiveArgument(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """Non-decreasing doubling function on [0, inf) with index p0, positive
@@ -52,12 +58,10 @@ class GrowthFunction:
     name: str
     p0: float
     fn: Callable[[np.ndarray], np.ndarray]
-    family: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.p0) and self.p0 > 0.0):
-            raise NonPositiveArgument(f"p0 must be finite and > 0, got {self.p0}")
+        _require_positive("p0", self.p0)
         # Theta(p0) = +inf passes: the search reports an objective finite nowhere
         with np.errstate(all="ignore"):
             theta0 = self(self.p0)
@@ -120,20 +124,20 @@ class GrowthFunction:
 
     @staticmethod
     def constant(value: float = 1.0, p0: float = 1.0) -> "GrowthFunction":
+        c = float(value)
         return GrowthFunction(
             name=f"const({value:g})", p0=p0,
-            fn=lambda p, c=float(value): np.full_like(np.asarray(p, float), c),
-            family="constant", params={"value": float(value)},
+            fn=lambda p: np.full_like(np.asarray(p, float), c), params={"value": c},
         )
 
     @staticmethod
     def power(alpha: float, p0: float = 1.0, shift: float = 0.0) -> "GrowthFunction":
         """(p + shift)**alpha.  shift=1 keeps the value positive at p=0."""
         name = f"(p+{shift:g})^{alpha:g}" if shift else f"p^{alpha:g}"
+        a, s = float(alpha), float(shift)
         return GrowthFunction(
-            name=name, p0=p0,
-            fn=lambda p, a=float(alpha), s=float(shift): (np.asarray(p, float) + s) ** a,
-            family="power", params={"alpha": float(alpha), "shift": float(shift)},
+            name=name, p0=p0, fn=lambda p: (np.asarray(p, float) + s) ** a,
+            params={"alpha": a, "shift": s},
         )
 
     @staticmethod
@@ -148,9 +152,9 @@ class GrowthFunction:
         With shifted=True uses (p+1)^alpha and log_m(p+e), which stays
         positive down to p=0 (the form needed for partial-sum growths).
         """
-        las = tuple(float(a) for a in log_alphas)
+        a, las = float(alpha), tuple(float(am) for am in log_alphas)
 
-        def fn(p, a=float(alpha), las=las, shifted=shifted):
+        def fn(p):
             p = np.asarray(p, dtype=float)
             base = p + 1.0 if shifted else p
             out = base ** a
@@ -162,9 +166,8 @@ class GrowthFunction:
 
         tag = "shifted-logpower" if shifted else "logpower"
         return GrowthFunction(
-            name=f"{tag}({alpha:g};{','.join(f'{a:g}' for a in las)})",
-            p0=p0, fn=fn, family=tag,
-            params={"alpha": float(alpha), "log_alphas": las, "shifted": shifted},
+            name=f"{tag}({alpha:g};{','.join(f'{am:g}' for am in las)})",
+            p0=p0, fn=fn, params={"alpha": a, "log_alphas": las, "shifted": shifted},
         )
 
     @staticmethod
@@ -190,7 +193,7 @@ class GrowthFunction:
 
         return GrowthFunction(
             name="tabulated", p0=float(p0 if p0 is not None else pv[0]),
-            fn=fn, family="tabulated", params={"n_rows": len(pv)},
+            fn=fn, params={"n_rows": len(pv)},
         )
 
     # -- diagnostics -------------------------------------------------------
@@ -228,8 +231,8 @@ def theta1(g: GrowthFunction) -> GrowthFunction:
     """The lifted growth p -> p * Theta(p) (doubling constant at most doubles)."""
     return GrowthFunction(
         name=f"p*{g.name}", p0=g.p0,
-        fn=lambda p, base=g.fn: np.asarray(p, float) * np.asarray(base(np.asarray(p, float)), float),
-        family="lifted", params={"base": g.name},
+        fn=lambda p: np.asarray(p, float) * np.asarray(g.fn(np.asarray(p, float)), float),
+        params={"base": g.name},
     )
 
 
@@ -482,8 +485,7 @@ class OsgoodSpec:
 
     def validate(self) -> None:
         if self.orientation is OsgoodOrientation.ZERO_END:
-            if not (math.isfinite(self.epsilon_L) and self.epsilon_L > 0.0):
-                raise NonPositiveArgument(f"epsilon_L must be finite and > 0, got {self.epsilon_L}")
+            _require_positive("epsilon_L", self.epsilon_L)
             rs = np.geomspace(self.epsilon_L * 1e-8, self.epsilon_L, 64)
         else:
             rs = np.geomspace(1.0, 1e8, 64)

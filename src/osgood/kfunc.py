@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySequence
-from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _with_p0, yudovich
+from .errors import EmptySequence, NonPositiveArgument
+from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
+from .growth import GrowthFunction, _require_positive, _with_p0, yudovich
 
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
@@ -81,6 +81,7 @@ class BandSequence:
 # -- (L^p0, L^inf) ------------------------------------------------------------
 
 def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
+    _require_positive("p0", p0)
     t = np.asarray(t_grid, dtype=float)
     k = prof.power_integral(t ** p0, p0) ** (1.0 / p0)
     return KCurve(pair=f"Lp_Linf(p0={p0:g})", t_samples=t, k_values=k)
@@ -95,17 +96,16 @@ def k_lp_linf(f: GridField, p0: float, t_grid=None) -> KCurve:
 
 # -- (L^p0, BMO) ---------------------------------------------------------------
 
-def k_lp_bmo(f: GridField, p0: float, lam: float = 0.25, t_grid=None) -> KCurve:
+def k_lp_bmo(f: GridField, p0: float, t_grid=None) -> KCurve:
     """Oscillation-pair surrogate built from the trimmed-oscillation maximal
-    function; constants are absorbed, so the curve is an equivalent of the
-    true K, not an equality."""
+    function at the fixed lambda = _LAMBDA = 1/4 (in params); constants are
+    absorbed, so the curve is an equivalent of the true K, not an equality."""
     if t_grid is None:
         t_grid = default_t_grid()
-    sm = sharp_maximal(f, lam)
-    curve = k_lp_linf_profile(rearrange(sm.result), p0, np.asarray(t_grid, float))
+    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, np.asarray(t_grid, float))
     return KCurve(
         pair=f"Lp_BMO(p0={p0:g})", t_samples=curve.t_samples, k_values=curve.k_values,
-        params={"lambda": lam, "surrogate": "trimmed-oscillation"},
+        params={"lambda": _LAMBDA, "surrogate": "trimmed-oscillation"},
     )
 
 
@@ -184,9 +184,13 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
 
     min and max are exact and fl(a - b) is monotone in b, so each route gives
     the same bits.  Work is O(n^2 a) per swept h.  A component that is not a
-    square 2-d array of finite samples raises ValueError.
+    square 2-d array of finite samples raises ValueError; a spacing not finite
+    and > 0, or an h not finite, NonPositiveArgument (h < 0 is an empty disc).
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
+    _require_positive("spacing", spacing)
+    if not np.isfinite(hs).all():
+        raise NonPositiveArgument(f"h must be finite, got {hs[~np.isfinite(hs)][0]}")
     out = np.zeros(len(hs))
     comps = [np.asarray(c, dtype=float) for c in fields]
     if any(v.ndim != 2 or v.shape[0] != v.shape[1] for v in comps):

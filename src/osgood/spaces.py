@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _with_p0, yudovich
+from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
+from .growth import GrowthFunction, _require_positive, _with_p0, yudovich
 from .kfunc import _ratio, default_t_grid, extrapolation_sup, k_lp_linf_profile
 
 _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
@@ -22,7 +22,8 @@ _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
 
 def default_p_grid(p0: float) -> np.ndarray:
     """The direct sup's exponents: _P_POINTS = 24 points, geometric from just
-    above p0 up to _P_HI = 512."""
+    above p0 up to _P_HI = 512; p0 must be finite and > 0."""
+    _require_positive("p0", p0)
     return np.geomspace(p0 * 1.02, _P_HI, _P_POINTS)
 
 
@@ -80,20 +81,21 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     )
 
 
-def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0, lam: float = 0.25) -> NormReport:
-    """Oscillation-side norm sup_p ||M f||_p / Theta(p) built on the trimmed
-    local-oscillation maximal function M, with the p0-free rearrangement form
+def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0) -> NormReport:
+    """Oscillation-side norm sup_p ||M f||_p / Theta(p), p0 = 4 unless given,
+    built on the trimmed local-oscillation maximal function M at the fixed
+    lambda = _LAMBDA = 1/4, with the p0-free rearrangement form
     sup_{t < 1/e} (M f)*(t) / Theta(-log t) on 80 points and the
     K-functional form over the oscillation pair.
     """
-    prof = rearrange(sharp_maximal(f, lam).result)
+    prof = rearrange(sharp_maximal(f))
     direct, char_k = _direct_and_k(prof, g, p0)
     ts = np.geomspace(max(prof.cell_measure / 4.0, 1e-14), math.exp(-1.0), 80)
     char_rearr = float(np.max(prof.star(ts) / np.asarray(g(-np.log(ts)), dtype=float)))
     return NormReport(
         space="sharp_yudovich", direct_value=direct, char_k=char_k,
         char_rearr=char_rearr, char_rearr_star=char_rearr, char_small_t=char_rearr,
-        resolution=f.n, params={"growth": g.name, "p0": p0, "lambda": lam},
+        resolution=f.n, params={"growth": g.name, "p0": p0, "lambda": _LAMBDA},
     )
 
 
@@ -108,16 +110,11 @@ class EmbeddingGapReport:
         return math.isfinite(self.ratio_sharp_over_plain)
 
 
-def embedding_gap_report(
-    f: GridField,
-    g: GrowthFunction,
-    p0: float = 1.0,
-    lam: float = 0.25,
-) -> EmbeddingGapReport:
-    """Both norms of the same field, ordered (plain, sharp), with the
+def embedding_gap_report(f: GridField, g: GrowthFunction) -> EmbeddingGapReport:
+    """Both norms of the same field at the fixed index p0 = 1, ordered (plain,
+    sharp), the sharp one at the fixed lambda = _LAMBDA = 1/4, with the
     oscillation-over-Lebesgue ratio recorded (the embedding direction says
     the sharp side is controlled by the plain side up to a constant)."""
-    plain = yudovich_norm(f, g, p0=p0)
-    sharp = sharp_yudovich_norm(f, g, p0=max(p0, 1.0), lam=lam)
+    plain, sharp = yudovich_norm(f, g), sharp_yudovich_norm(f, g, p0=1.0)
     ratio = _ratio(sharp.char_small_t, plain.char_small_t)
     return EmbeddingGapReport(plain=plain, sharp=sharp, ratio_sharp_over_plain=float(ratio))

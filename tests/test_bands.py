@@ -14,7 +14,7 @@ from osgood.bands import (
     thmve_equivalence_report,
     vishik_norm,
 )
-from osgood.errors import AliasRisk, NonPositiveArgument
+from osgood.errors import AliasRisk, InvalidExponent, NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
 from osgood.kfunc import BandSequence
@@ -178,6 +178,13 @@ class TestBesovVishik:
         xx, _ = grid_xy(64)
         with pytest.raises(NonPositiveArgument):
             vishik_norm(decompose(torus_field(np.cos(xx))), GrowthFunction.power(1.0), 0.0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_vishik_non_finite_beta_rejected(self, beta):
+        # a nan beta once returned 0.0: every nan partial lost its max
+        xx, _ = grid_xy(64)
+        with pytest.raises(InvalidExponent, match="beta must be finite"):
+            vishik_norm(decompose(torus_field(np.cos(xx))), CONST, beta)
 
 
 class TestEquivalenceReport:

@@ -8,6 +8,7 @@ from osgood.biot import biot_savart, curl, czo_gradient, divergence_defect, modu
 from osgood.errors import NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
+from osgood.spaces import sharp_yudovich_norm
 
 
 def full_spectrum_vorticity(n, seed):
@@ -84,6 +85,19 @@ def test_envelope_checks_arguments_before_measuring(monkeypatch):
     # Pi(0) = 0 for the unshifted power growth
     with pytest.raises(NonPositiveArgument):
         modulus_envelope(w, 0.0, GrowthFunction.power(1.0), norm_choice="vishik")
+
+
+def test_envelope_norm_is_the_sharp_report_and_comes_first(monkeypatch):
+    w = full_spectrum_vorticity(16, seed=6)
+    g = GrowthFunction.power(1.0)
+    assert modulus_envelope(w, 0.0, g).norm_reference == sharp_yudovich_norm(w, g).direct_value
+
+    def velocity(*args, **kwargs):
+        raise AssertionError("velocity computed before the band norm")
+
+    monkeypatch.setattr(biot, "biot_savart", velocity)
+    with pytest.raises(NonPositiveArgument, match=re.escape("growth p^1 has Pi(0) = 0; the band norm divides by it")):
+        modulus_envelope(w, 0.0, g, norm_choice="vishik")
 
 
 def test_default_h_samples_follow_the_domain():

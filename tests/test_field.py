@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from osgood.errors import InvalidExponent, InvalidFieldFile, InvalidLambda, OsgoodError
+from osgood.errors import InvalidExponent, InvalidFieldFile, InvalidLambda, NonPositiveArgument, OsgoodError
 from osgood.field import (
     Domain,
     GridField,
@@ -99,6 +99,20 @@ class TestRearrange:
         ratios = prof.star(ts) / np.log(1.0 / ts) ** 2
         assert ratios.max() / ratios.min() < 3.0
 
+    def test_measures_outside_the_domain_raise(self):
+        # a negative t once wrapped to the tail of the profile, and
+        # double_star(0) divided by zero
+        prof = rearrange(GridField(rng.standard_normal((16, 16))))
+        for bad in (-0.1, np.nan, np.inf, np.array([0.5, -0.1])):
+            with pytest.raises(NonPositiveArgument):
+                prof.star(bad)
+            with pytest.raises(NonPositiveArgument):
+                prof.power_integral(bad, 1.0)
+        for bad in (0.0, -1.0, np.nan, np.array([0.5, 0.0])):
+            with pytest.raises(NonPositiveArgument):
+                prof.double_star(bad)
+        assert prof.star(0.0) == prof.values[0] and prof.integral(0.0) == 0.0
+
 
 class TestLpNorm:
     def test_constant(self):
@@ -111,6 +125,14 @@ class TestLpNorm:
     def test_invalid_exponent(self):
         with pytest.raises(InvalidExponent):
             lp_norm(unit_field(np.ones((8, 8))), 0.5)
+
+    def test_nan_exponent(self):
+        # a nan p once passed the [1, inf] check and returned nan
+        f = unit_field(np.ones((8, 8)))
+        with pytest.raises(InvalidExponent):
+            lp_norm(f, np.nan)
+        with pytest.raises(InvalidExponent):
+            rearrange(f).lp(np.nan)
 
     def test_profile_norm_agreement(self):
         for _ in range(10):
@@ -211,7 +233,14 @@ def brute_fs(f):
 class TestSharpMaximal:
     def test_constant_is_zero(self):
         sm = sharp_maximal(unit_field(np.full((16, 16), 4.0)), 0.25)
-        assert np.all(sm.result.data == 0.0)
+        assert np.all(sm.data == 0.0)
+
+    def test_default_is_the_norms_field(self):
+        for domain in Domain:
+            f = GridField(rng.standard_normal((16, 16)), domain)
+            sm = sharp_maximal(f)
+            assert isinstance(sm, GridField) and sm.domain is f.domain
+            assert np.array_equal(sm.data, sharp_maximal(f, 0.25).data)
 
     def test_invalid_lambda(self):
         f = unit_field(np.ones((8, 8)))
@@ -225,24 +254,24 @@ class TestSharpMaximal:
         data[: n // 2, :] = 1.0
         f = unit_field(data)
         sm = sharp_maximal(f, 0.25)
-        assert np.allclose(sm.result.data, brute_sharp(f, 0.25))
+        assert np.allclose(sm.data, brute_sharp(f, 0.25))
         # any cube meeting the interface is half ones, half zeros: value 1/2
-        assert sm.result.data.max() == pytest.approx(0.5)
+        assert sm.data.max() == pytest.approx(0.5)
 
     def test_random_field_matches_brute_force(self):
         f = unit_field(rng.standard_normal((8, 8)))
         sm = sharp_maximal(f, 0.5)
-        assert np.allclose(sm.result.data, brute_sharp(f, 0.5), atol=1e-12)
+        assert np.allclose(sm.data, brute_sharp(f, 0.5), atol=1e-12)
 
     def test_monotone_in_lambda(self):
         f = unit_field(rng.standard_normal((32, 32)))
-        hi = sharp_maximal(f, 0.125).result.data
-        lo = sharp_maximal(f, 0.5).result.data
+        hi = sharp_maximal(f, 0.125).data
+        lo = sharp_maximal(f, 0.5).data
         assert np.all(hi >= lo - 1e-14)
 
     def test_bounded_by_oscillation(self):
         f = unit_field(rng.standard_normal((32, 32)))
-        sm = sharp_maximal(f, 0.25).result.data
+        sm = sharp_maximal(f, 0.25).data
         osc = f.data.max() - f.data.min()
         assert sm.max() <= 0.5 * osc + 1e-12
         assert sm.max() <= 2.0 * np.abs(f.data).max()
@@ -253,7 +282,7 @@ class TestSharpMaximal:
         cs = []
         for n in (256, 512):
             sm = sharp_maximal(log_power_field(n, alpha=1.0), 0.25)
-            prof = rearrange(sm.result)
+            prof = rearrange(sm)
             ts = np.geomspace(1e-5, 1e-1, 30)
             cs.append((prof.double_star(ts) / np.log(1.0 / ts)).max())
         assert cs[1] < 1.5 * cs[0] + 1e-12
@@ -290,7 +319,7 @@ class TestFeffermanStein:
         ts = np.geomspace(1e-3, 1e-1, 16)
         for f in fields:
             fs_prof = rearrange(fefferman_stein_sharp(f))
-            sm_prof = rearrange(sharp_maximal(f, 0.25).result)
+            sm_prof = rearrange(sharp_maximal(f, 0.25))
             ratios = fs_prof.star(ts) / np.maximum(sm_prof.double_star(ts), 1e-300)
             assert ratios.max() < 16.0
             assert ratios.min() > 1.0 / 16.0
@@ -443,7 +472,7 @@ class TestExactnessGate:
         for f in [gate_field(n, scale) for scale in GATE_SCALES] + [modes]:
             for lam in GATE_LAMS:
                 ref = scatter_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam))
-                assert np.array_equal(sharp_maximal(f, lam).result.data, ref)
+                assert np.array_equal(sharp_maximal(f, lam).data, ref)
             ref = scatter_cube_sweep(f, _mean_oscillation)
             assert np.array_equal(fefferman_stein_sharp(f).data, ref)
             assert dyadic_bmo_norm(f) == ref.max()

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -411,6 +412,15 @@ class TestTheta1:
         ratios = yudovich(g, ts) / np.log(ts)
         assert ratios.max() / ratios.min() < 1.2
         assert ratios.mean() == pytest.approx(math.e, rel=0.05)
+
+
+@pytest.mark.parametrize("g", [
+    GrowthFunction.constant(2.0), GrowthFunction.power(1.5, shift=1.0),
+    GrowthFunction.log_power(1.0, (1.0, 2.0), shifted=True), theta1(LINEAR),
+], ids=["constant", "power", "log_power", "theta1"])
+def test_growth_fn_takes_only_p(g):
+    # the family values are captured by closure: no keyword can override them
+    assert list(inspect.signature(g.fn).parameters) == ["p"]
 
 
 class TestLemma1RatioScan:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import osgood
 
-from osgood.errors import EmptySequence
+from osgood.errors import EmptySequence, NonPositiveArgument
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction, theta1, yudovich
 from osgood.kfunc import (
@@ -57,6 +57,12 @@ class TestKLpLinf:
         expect = np.minimum(curve.t_samples, 0.25)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
         curve.check_shape(concave_slack=0.0)
+
+    @pytest.mark.parametrize("p0", [0.0, -1.0, np.nan, np.inf])
+    def test_index_must_be_finite_and_positive(self, p0):
+        # p0 = 0 once raised ZeroDivisionError from 1 / p0
+        with pytest.raises(NonPositiveArgument, match="p0 must be finite and > 0"):
+            k_lp_linf(unit_field(np.ones((8, 8))), p0)
 
     def test_constant_field(self):
         c, p0 = 3.0, 2.0
@@ -106,16 +112,16 @@ class TestKLpBmo:
         data[: n // 2] = 1.0
         f = unit_field(data)
         p0 = 2.0
-        curve = k_lp_bmo(f, p0, 0.25, default_t_grid(1e-2, 100.0, 40))
-        plateau = lp_norm(sharp_maximal(f, 0.25).result, p0)
+        curve = k_lp_bmo(f, p0, default_t_grid(1e-2, 100.0, 40))
+        plateau = lp_norm(sharp_maximal(f, 0.25), p0)
         assert curve.k_values[-1] == pytest.approx(plateau, rel=1e-12)
 
     def test_bmo_prototype_slope_bounded(self):
         # K(t)/t tends to the max of the trimmed-oscillation field as t -> 0
         f = log_power_field(128, alpha=0.0)
-        curve = k_lp_bmo(f, 2.0, 0.25, default_t_grid(1e-6, 1.0, 40))
+        curve = k_lp_bmo(f, 2.0, default_t_grid(1e-6, 1.0, 40))
         slopes = curve.k_values / curve.t_samples
-        cap = sharp_maximal(f, 0.25).result.data.max()
+        cap = sharp_maximal(f, 0.25).data.max()
         assert slopes[0] == pytest.approx(cap, rel=1e-9)
         assert np.all(slopes <= cap * (1 + 1e-12))
 
@@ -178,6 +184,18 @@ class TestKLinfLip:
         v.flat[[5, 77][:len(bad)]] = bad
         with pytest.raises(ValueError, match="finite"):
             modulus_of_continuity([np.zeros((16, 16)), v], 2 * np.pi / 16, np.array([0.3, 1.0, 3.0]))
+
+    def test_bad_spacing_and_h_rejected(self):
+        # spacing 0 divided by zero, a negative spacing read as a zero
+        # modulus, and a nan h failed in numpy's integer conversion
+        v = np.random.default_rng(4).standard_normal((16, 16))
+        for spacing in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(NonPositiveArgument, match="spacing"):
+                modulus_of_continuity([v], spacing, np.array([0.3]))
+        for h in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveArgument, match="h must be finite"):
+                modulus_of_continuity([v], 0.1, np.array([0.3, h]))
+        assert modulus_of_continuity([v], 0.1, -1.0) == 0.0  # h < 0: the empty disc
 
     def test_default_t_grid_follows_the_domain(self):
         data = np.random.default_rng(8).standard_normal((16, 16))

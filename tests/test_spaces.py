@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from osgood.errors import NonPositiveArgument
 from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm
 from osgood.growth import GrowthFunction
 from osgood.spaces import (
+    default_p_grid,
     embedding_gap_report,
     sharp_yudovich_norm,
     yudovich_norm,
@@ -130,12 +132,29 @@ class TestEmbeddingGap:
         assert rep.sharp.direct_value > 0
         assert rep.embedding_holds
 
+    def test_reports_are_the_plain_and_sharp_norms_at_index_one(self):
+        f = random_field(16, seed=103)
+        rep = embedding_gap_report(f, LINEAR)
+        assert rep.plain == yudovich_norm(f, LINEAR)
+        assert rep.sharp == sharp_yudovich_norm(f, LINEAR, p0=1.0)
+        assert rep.sharp.params == {"growth": LINEAR.name, "p0": 1.0, "lambda": 0.25}
+
     def test_table_consistency_across_resolution(self):
         # forms of the same norm keep stable ratios as the grid refines
         reps = {n: yudovich_norm(log_power_field(n), QUADRATIC) for n in (256, 512)}
         for key in reps[256].ratios:
             drift = reps[512].ratios[key] / reps[256].ratios[key]
             assert 0.75 < drift < 1.25
+
+
+@pytest.mark.parametrize("p0", [0.0, -1.0, np.nan, np.inf])
+def test_index_must_be_finite_and_positive(p0):
+    # p0 = nan once warned "invalid value encountered in cast" in geomspace
+    with pytest.raises(NonPositiveArgument, match="p0 must be finite and > 0"):
+        default_p_grid(p0)
+    for norm in (yudovich_norm, sharp_yudovich_norm):
+        with pytest.raises(NonPositiveArgument, match="p0 must be finite and > 0"):
+            norm(random_field(8, seed=104), LINEAR, p0=p0)
 
 
 FORMS = ("direct_value", "char_k", "char_rearr", "char_rearr_star", "char_small_t")
