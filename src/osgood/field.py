@@ -113,13 +113,8 @@ class RearrangementProfile:
 
     def star(self, t):
         """f*(t): right-continuous step value at measure t >= 0."""
-        t = _measures(t)
-        idx = np.floor(t / self.cell_measure).astype(int)
-        out = np.where(
-            idx < len(self.values),
-            self.values[np.minimum(idx, len(self.values) - 1)],
-            0.0,
-        )
+        idx, v = self._cells(_measures(t)), self.values
+        out = np.where(idx < len(v), v[np.minimum(idx, len(v) - 1)], 0.0)
         return out if out.shape else float(out)
 
     def integral(self, t):
@@ -135,15 +130,22 @@ class RearrangementProfile:
         return out if out.shape else float(out)
 
     def power_integral(self, t, p: float):
-        """integral of (f*)^p over (0, t), exact on partial cells."""
+        """integral of (f*)^p over (0, t), exact on partial cells, for p
+        finite and > 0."""
+        if not 0.0 < p < np.inf:
+            raise InvalidExponent(f"p must be finite and > 0, got {p}")
         t = _measures(t)
         powered = self.values ** p
         prefix = np.concatenate([[0.0], np.cumsum(powered) * self.cell_measure])
-        idx = np.minimum(np.floor(t / self.cell_measure).astype(int), len(self.values))
-        frac = t - idx * self.cell_measure
-        vals_at = np.where(idx < len(powered), powered[np.minimum(idx, len(powered) - 1)], 0.0)
-        out = prefix[idx] + np.where(idx < len(powered), frac * vals_at, 0.0)
+        idx = self._cells(t)
+        at = np.where(idx < len(powered), powered[np.minimum(idx, len(powered) - 1)], 0.0)
+        out = prefix[idx] + (t - idx * self.cell_measure) * at
         return out if out.shape else float(out)
+
+    def _cells(self, t: np.ndarray) -> np.ndarray:
+        """floor(t / cell_measure), clamped to the sample count before the cast
+        to int, so a t past the profile, even past int64, reads as its end."""
+        return np.minimum(np.floor(t / self.cell_measure), len(self.values)).astype(int)
 
     def lp(self, p: float) -> float:
         """L^p norm of f*, p in [1, inf], as m (sum (v/m)^p cell)^(1/p) with

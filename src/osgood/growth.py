@@ -5,7 +5,9 @@ with a lower integrability index p0 >= 1.  Its Yudovich function is
 
     y(r) = inf_{p > p0} Theta(p) * r**(1/p),
 
-the quantity that controls modulus-of-continuity envelopes downstream.
+the quantity that controls modulus-of-continuity envelopes downstream.  A
+growth is given by log Theta, in closed form per family: y is its Legendre
+transform, the hypothesis checks read differences of it, and Theta is its exp.
 """
 
 from __future__ import annotations
@@ -50,35 +52,46 @@ def _require_positive(name: str, value: float) -> None:
         raise NonPositiveArgument(f"{name} must be finite and > 0, got {value}")
 
 
+def _log_power(x: np.ndarray, a: float) -> np.ndarray:
+    """log(x**a) = a log x, and 0 for a = 0, as x**0 = 1 at every x."""
+    return a * np.log(x) if a else np.zeros_like(x)
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """Non-decreasing doubling function on [0, inf) with index p0, positive
-    at p0."""
+    at p0, given by log_fn: a float array p -> log Theta(p)."""
 
     name: str
     p0: float
-    fn: Callable[[np.ndarray], np.ndarray]
+    log_fn: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _require_positive("p0", self.p0)
         # Theta(p0) = +inf passes: the search reports an objective finite nowhere
+        log_theta0 = float(self._eval(self.p0, None))
+        if not log_theta0 > -math.inf:
+            raise NonPositiveArgument(f"Theta(p0) must be > 0, got log Theta = {log_theta0} at p0 = {self.p0}")
+
+    def _eval(self, p, log_factor):
+        """log Theta(p) for log_factor None, else e**(log Theta(p) + log_factor):
+        the one errstate around log_fn, so log 0, the log of a negative and an
+        overflowing exp give -inf, nan and +inf, never warnings."""
         with np.errstate(all="ignore"):
-            theta0 = self(self.p0)
-        if not theta0 > 0.0:
-            raise NonPositiveArgument(f"Theta(p0) must be > 0, got {theta0} at p0 = {self.p0}")
+            out = np.asarray(self.log_fn(np.asarray(p, dtype=float)), dtype=float)
+            return out if log_factor is None else np.exp(out + log_factor)
 
     def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        out = np.asarray(self.fn(p), dtype=float)
+        """Theta(p) = exp(log Theta(p)), +inf where that overflows."""
+        out = self._eval(p, 0.0)
         return out if out.shape else float(out)
 
     def log_value(self, p):
-        """log Theta(p), taken under errstate and +inf wherever not finite (Theta
-        overflowing, zero or negative): such p never attain the Yudovich infimum."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.log(self(p))
-        if not np.ndim(out):
+        """log Theta(p), +inf wherever it is not finite (Theta overflowing in
+        its own log, zero or negative): such p never attain the Yudovich infimum."""
+        out = self._eval(p, None)
+        if not out.shape:
             return float(out) if math.isfinite(out) else math.inf
         out[~np.isfinite(out)] = np.inf
         return out
@@ -127,16 +140,17 @@ class GrowthFunction:
         c = float(value)
         return GrowthFunction(
             name=f"const({value:g})", p0=p0,
-            fn=lambda p: np.full_like(np.asarray(p, float), c), params={"value": c},
+            log_fn=lambda p: np.full_like(p, np.log(c)), params={"value": c},
         )
 
     @staticmethod
     def power(alpha: float, p0: float = 1.0, shift: float = 0.0) -> "GrowthFunction":
-        """(p + shift)**alpha.  shift=1 keeps the value positive at p=0."""
+        """(p + shift)**alpha, given as alpha log(p + shift).  shift=1 keeps the
+        value positive at p=0."""
         name = f"(p+{shift:g})^{alpha:g}" if shift else f"p^{alpha:g}"
         a, s = float(alpha), float(shift)
         return GrowthFunction(
-            name=name, p0=p0, fn=lambda p: (np.asarray(p, float) + s) ** a,
+            name=name, p0=p0, log_fn=lambda p: _log_power(p + s, a),
             params={"alpha": a, "shift": s},
         )
 
@@ -147,36 +161,38 @@ class GrowthFunction:
         p0: float = 2.0,
         shifted: bool = False,
     ) -> "GrowthFunction":
-        """p^alpha * prod_m (log_m p)^alpha_m with iterated logs.
+        """p^alpha * prod_m (log_m p)^alpha_m with iterated logs, given as
+        alpha log p + sum_m alpha_m log(log_m p); where an iterated log with a
+        nonzero exponent is not positive, log Theta is nan.
 
         With shifted=True uses (p+1)^alpha and log_m(p+e), which stays
         positive down to p=0 (the form needed for partial-sum growths).
         """
         a, las = float(alpha), tuple(float(am) for am in log_alphas)
 
-        def fn(p):
-            p = np.asarray(p, dtype=float)
-            base = p + 1.0 if shifted else p
-            out = base ** a
+        def log_fn(p):
+            out = _log_power(p + 1.0 if shifted else p, a)
             arg = p + math.e if shifted else p
             for am in las:
                 arg = np.log(arg)
-                out = out * arg ** am
+                out = out + _log_power(arg, am)
             return out
 
         tag = "shifted-logpower" if shifted else "logpower"
         return GrowthFunction(
             name=f"{tag}({alpha:g};{','.join(f'{am:g}' for am in las)})",
-            p0=p0, fn=fn, params={"alpha": a, "log_alphas": las, "shifted": shifted},
+            p0=p0, log_fn=log_fn, params={"alpha": a, "log_alphas": las, "shifted": shifted},
         )
 
     @staticmethod
     def from_callable(name: str, fn: Callable, p0: float = 1.0) -> "GrowthFunction":
-        return GrowthFunction(name=name, p0=p0, fn=lambda p: np.asarray(fn(np.asarray(p, float))))
+        """The growth fn, given as log(fn)."""
+        return GrowthFunction(name=name, p0=p0, log_fn=lambda p: np.log(np.asarray(fn(p), dtype=float)))
 
     @staticmethod
     def from_table(p_values, theta_values, p0: float | None = None) -> "GrowthFunction":
-        """Tabulated growth, log-linear interpolation, clamped beyond the table."""
+        """Tabulated growth: log Theta interpolated linearly in log p, clamped
+        beyond the table."""
         pv = np.asarray(p_values, dtype=float)
         tv = np.asarray(theta_values, dtype=float)
         if pv.ndim != 1 or pv.shape != tv.shape or len(pv) < 2:
@@ -187,24 +203,22 @@ class GrowthFunction:
             raise ValueError("table values must be positive")
         lp, lt = np.log(pv), np.log(tv)
 
-        def fn(p):
-            p = np.maximum(np.asarray(p, dtype=float), pv[0])
-            return np.exp(np.interp(np.log(p), lp, lt))
+        def log_fn(p):
+            return np.interp(np.log(np.maximum(p, pv[0])), lp, lt)
 
         return GrowthFunction(
             name="tabulated", p0=float(p0 if p0 is not None else pv[0]),
-            fn=fn, params={"n_rows": len(pv)},
+            log_fn=log_fn, params={"n_rows": len(pv)},
         )
 
     # -- diagnostics -------------------------------------------------------
 
     def doubling_constant(self) -> float:
-        """sup of Theta(2p)/Theta(p) on the _DOUBLING_SAMPLES-point log grid of
-        [max(p0, 1/4), _DOUBLING_P_HI]: 64 points up to 4096."""
+        """sup of Theta(2p)/Theta(p) = exp(log Theta(2p) - log Theta(p)) on the
+        _DOUBLING_SAMPLES-point log grid of [max(p0, 1/4), _DOUBLING_P_HI]: 64
+        points up to 4096, skipping inf/inf and 0/0 (nan if all are)."""
         ps = np.geomspace(max(self.p0, 0.25), _DOUBLING_P_HI, _DOUBLING_SAMPLES)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratios = self(2.0 * ps) / self(ps)
-        return float(np.nanmax(ratios))
+        return float(np.fmax.reduce(self._eval(2.0 * ps, -self._eval(ps, None))))
 
 
 _PATHS = ("closed form", "p0 boundary", "grid vertex", "vertex step")
@@ -230,9 +244,7 @@ def _with_p0(g: GrowthFunction, p0: float) -> GrowthFunction:
 def theta1(g: GrowthFunction) -> GrowthFunction:
     """The lifted growth p -> p * Theta(p) (doubling constant at most doubles)."""
     return GrowthFunction(
-        name=f"p*{g.name}", p0=g.p0,
-        fn=lambda p: np.asarray(p, float) * np.asarray(g.fn(np.asarray(p, float)), float),
-        params={"base": g.name},
+        name=f"p*{g.name}", p0=g.p0, log_fn=lambda p: np.log(p) + g.log_fn(p), params={"base": g.name},
     )
 
 
@@ -322,21 +334,20 @@ def _quasi_decreasing_witness(g: GrowthFunction, c: float, p_lo: float) -> float
     growths have factors that keep inflating.  The map is sampled at 4 points
     per doubling from p_lo to _QD_P_HI (at least 4 doublings), and it passes
     when, from p = max(8 p_lo, 16) on, consecutive per-doubling factors never
-    inflate by more than _SLACK.  A value that is not finite and > 0 fails
-    at its own p.
+    inflate by more than _SLACK, compared in log.  A value that is not
+    finite and > 0 fails at its own p.
     """
     steps_per_doubling = 4
     settle_p = max(8.0 * p_lo, 16.0)
     n_doublings = max(4, int(math.ceil(math.log2(_QD_P_HI / p_lo))))
     m = n_doublings * steps_per_doubling + 1
     ps = p_lo * 2.0 ** (np.arange(m) / steps_per_doubling)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.exp(c / ps) * np.asarray(g(ps), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals) | (vals <= 0))
+    log_vals = c / ps + g.log_value(ps)
+    bad = np.flatnonzero(log_vals == np.inf)
     if not len(bad):
-        factors = vals[steps_per_doubling:] / vals[:-steps_per_doubling]
-        quot = factors[steps_per_doubling:] / factors[:-steps_per_doubling]
-        bad = np.flatnonzero((ps[:len(quot)] >= settle_p) & (quot > _SLACK))
+        log_factors = log_vals[steps_per_doubling:] - log_vals[:-steps_per_doubling]
+        log_quot = log_factors[steps_per_doubling:] - log_factors[:-steps_per_doubling]
+        bad = np.flatnonzero((ps[:len(log_quot)] >= settle_p) & (log_quot > math.log(_SLACK)))
     return float(ps[bad[0]]) if len(bad) else None
 
 
@@ -368,16 +379,9 @@ def lemma1_ratio_scan(g: GrowthFunction, r_grid: Sequence[float]) -> dict:
     floor = math.exp(2.0 * g.p0)
     if np.any(r_grid <= floor):
         raise ValueError(f"all r must exceed e^(2 p0) = {floor:g}")
-    ys = yudovich(g, r_grid)
-    ref = np.asarray(g(np.log(r_grid)), dtype=float)
-    ratios = ys / ref
+    ratios = yudovich(g, r_grid) / g(np.log(r_grid))
     c1, c2 = float(ratios.min()), float(ratios.max())
-    return {
-        "r": r_grid,
-        "ratios": ratios,
-        "band": (c1, c2),
-        "band_width": c2 / c1,
-    }
+    return {"r": r_grid, "ratios": ratios, "band": (c1, c2), "band_width": c2 / c1}
 
 
 # -- growth-class membership ------------------------------------------------
@@ -398,25 +402,22 @@ class GrowthClassReport:
 def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     """Check the four partial-sum-growth conditions at index kappa.
 
-    (i) positive and non-decreasing on [0, inf); (ii) doubling with a
-    constant at most _DOUBLING_CAP = 1e6; (iii) e**(1/p) Pi(p)
-    quasi-decreasing, sampled by _quasi_decreasing_witness from p = 1/2;
-    (iv) sum_{j>=N} 2^(-j kappa) Pi(j) <= C 2^(-N kappa) Pi(N) for the first
-    _HEADS = 64 indices N, the tails summed over _TAIL_TERMS = 4000 terms.
-    Failures are report entries with witnesses, never exceptions.
+    (i) positive and non-decreasing on [0, inf), log Pi falling by at most
+    1e-9 per sample; (ii) doubling with a constant at most _DOUBLING_CAP =
+    1e6; (iii) e**(1/p) Pi(p) quasi-decreasing, sampled by
+    _quasi_decreasing_witness from p = 1/2; (iv) sum_{j>=N} 2^(-j kappa) Pi(j)
+    <= C 2^(-N kappa) Pi(N) for the first _HEADS = 64 indices N, the tails
+    summed over _TAIL_TERMS = 4000 terms.  Failures are report entries with
+    witnesses, never exceptions.
     """
-    passes: dict = {}
-    witness: dict = {}
-
+    passes, witness = {}, {}
     ps = np.concatenate([np.linspace(0.0, 4.0, 33), np.geomspace(4.0, 4096.0, 64)])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(g(ps), dtype=float)
-        pos = np.isfinite(vals) & (vals > 0)
-        mono = np.all(np.diff(vals) >= -1e-9 * np.maximum(np.abs(vals[:-1]), 1e-300))
-    passes["monotone"] = bool(pos.all() and mono)
+    log_vals = g.log_value(ps)
+    bad = np.flatnonzero(log_vals == np.inf)
+    log_steps = np.diff(log_vals) if not len(bad) else None
+    passes["monotone"] = bool(log_steps is not None and np.all(log_steps >= -1e-9))
     if not passes["monotone"]:
-        bad = np.where(~pos)[0]
-        witness["monotone"] = float(ps[bad[0]]) if len(bad) else float(ps[np.argmin(np.diff(vals))])
+        witness["monotone"] = float(ps[bad[0]]) if len(bad) else float(ps[np.argmin(log_steps)])
 
     c_dbl = g.doubling_constant()
     passes["doubling"] = bool(np.isfinite(c_dbl) and c_dbl <= _DOUBLING_CAP)
@@ -430,8 +431,7 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
 
     # condition (iv): geometric-tail domination, checked by direct summation
     js = np.arange(_TAIL_TERMS, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = 2.0 ** (-js * kappa) * np.asarray(g(js), dtype=float)
+    terms = g._eval(js, -js * kappa * math.log(2.0))
     tail_ratio: float | None = None
     nonfinite = np.flatnonzero(~np.isfinite(terms))
     if len(nonfinite):
@@ -441,19 +441,15 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
         passes["tail_sum"] = False
         witness["tail_sum"] = "tail terms do not decay (sum diverges or overflows)"
     else:
-        tails = np.cumsum(terms[::-1])[::-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            heads = 2.0 ** (-np.arange(_HEADS) * kappa) * np.asarray(g(np.arange(_HEADS)), dtype=float)
-            ratios = tails[:_HEADS] / heads
+        tails, heads = np.cumsum(terms[::-1])[::-1][:_HEADS], terms[:_HEADS]
+        # tails >= heads >= 0: +inf where a head is 0 or the ratio overflows
+        ratios = np.divide(tails, heads, out=np.full(_HEADS, np.inf), where=heads > tails / np.finfo(float).max)
         tail_ratio = float(ratios.max())
         passes["tail_sum"] = bool(np.isfinite(tail_ratio))
         if not passes["tail_sum"]:
             witness["tail_sum"] = int(np.argmax(~np.isfinite(ratios)))
 
-    return GrowthClassReport(
-        kappa=kappa, passes=passes, witness=witness,
-        doubling_constant=c_dbl, tail_ratio=tail_ratio,
-    )
+    return GrowthClassReport(kappa, passes, witness, c_dbl, tail_ratio)
 
 
 # -- Osgood integral test ----------------------------------------------------

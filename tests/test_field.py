@@ -26,7 +26,7 @@ from osgood.field import (
     write_field_csv,
 )
 from osgood.growth import GrowthFunction
-from osgood.kfunc import default_t_grid, k_lp_linf_profile
+from osgood.kfunc import default_t_grid, k_lp_linf, k_lp_linf_profile
 from osgood.spaces import default_p_grid, sharp_yudovich_norm, yudovich_norm
 
 rng = np.random.default_rng(2024)
@@ -112,6 +112,42 @@ class TestRearrange:
             with pytest.raises(NonPositiveArgument):
                 prof.double_star(bad)
         assert prof.star(0.0) == prof.values[0] and prof.integral(0.0) == 0.0
+
+    def test_measures_past_the_profile(self):
+        # t / cell_measure past the int64 range once cast to a negative index
+        f = GridField(np.random.default_rng(5).standard_normal((16, 16)))
+        prof = rearrange(f)
+        cell, v = prof.cell_measure, prof.values
+
+        def star_ref(t):
+            idx = np.floor(t / cell).astype(int)
+            return np.where(idx < len(v), v[np.minimum(idx, len(v) - 1)], 0.0)
+
+        def power_integral_ref(t, p):
+            powered = v ** p
+            prefix = np.concatenate([[0.0], np.cumsum(powered) * cell])
+            idx = np.minimum(np.floor(t / cell).astype(int), len(v))
+            at = np.where(idx < len(v), powered[np.minimum(idx, len(v) - 1)], 0.0)
+            return prefix[idx] + np.where(idx < len(v), (t - idx * cell) * at, 0.0)
+
+        inside = np.concatenate([np.linspace(0.0, prof.total_measure, 257), cell * np.arange(len(v) + 1)])
+        assert np.array_equal(prof.star(inside), star_ref(inside))
+        for p in (0.5, 1.0, 8.0):
+            assert np.array_equal(prof.power_integral(inside, p), power_integral_ref(inside, p))
+        beyond = np.array([prof.total_measure * 1.5, 1e20, 1e30, 1e300])
+        assert np.array_equal(prof.star(beyond), np.zeros(4)) and prof.star(1e30) == 0.0
+        whole = prof.power_integral(prof.total_measure, 8.0)
+        assert whole == pytest.approx(lp_norm(f, 8.0) ** 8, rel=1e-12)
+        assert np.array_equal(prof.power_integral(beyond, 8.0), np.full(4, whole))
+        # the default t grid reaches 1e3, so t^8 = 1e24 is far past the profile
+        curve = k_lp_linf(f, 8.0)
+        assert np.all(np.isfinite(curve.k_values)) and curve.k_values[-1] == whole ** (1.0 / 8.0)
+
+    @pytest.mark.parametrize("p", [np.nan, -1.0, 0.0, np.inf], ids=str)
+    def test_power_integral_needs_a_finite_positive_exponent(self, p):
+        prof = rearrange(GridField(rng.standard_normal((16, 16))))
+        with pytest.raises(InvalidExponent):
+            prof.power_integral(0.5, p)
 
 
 class TestLpNorm:

@@ -229,9 +229,9 @@ class TestYudovichProperties:
 
 
 def _reference_log_value(g, p):
-    """log Theta(p) as np.where once took it: +inf wherever not finite."""
+    """log_fn(p) with np.where: +inf wherever not finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.log(np.asarray(g(p), dtype=float))
+        out = np.asarray(g.log_fn(np.asarray(p, dtype=float)), dtype=float)
     out = np.where(np.isfinite(out), out, np.inf)
     return out if out.shape else float(out)
 
@@ -239,7 +239,7 @@ def _reference_log_value(g, p):
 def _reference_hull(g):
     """The hull as the plain monotone chain over every finite grid point."""
     ps = np.geomspace(g.p0, growth_module._P_TOP, growth_module._GRID)
-    xs, phi = np.log(ps), _reference_log_value(g, ps)
+    xs, phi = np.log(ps), g.log_value(ps)
     s, f = (1.0 / ps).tolist(), phi.tolist()
     hull = []
     for i in range(len(ps) - 1, -1, -1):
@@ -273,7 +273,7 @@ def _reference_legendre(g, log_r):
     with np.errstate(invalid="ignore", divide="ignore"):
         curv = fl - 2.0 * fc + fr
         vx = np.clip(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1], xs[c + 1])
-        fv = _reference_log_value(g, np.exp(vx)) + log_r * np.exp(-vx)
+        fv = g.log_value(np.exp(vx)) + log_r * np.exp(-vx)
     fv = np.where((curv > 0.0) & (fv < np.inf), fv, np.inf)
     i, cols = np.argmin(fv, axis=0), np.arange(len(log_r))
     step = fv[i, cols] < best
@@ -420,7 +420,89 @@ class TestTheta1:
 ], ids=["constant", "power", "log_power", "theta1"])
 def test_growth_fn_takes_only_p(g):
     # the family values are captured by closure: no keyword can override them
-    assert list(inspect.signature(g.fn).parameters) == ["p"]
+    assert list(inspect.signature(g.log_fn).parameters) == ["p"]
+
+
+def _old_power(a, s=0.0):
+    return lambda p: (p + s) ** a
+
+
+def _old_log_power(a, las, shifted=False):
+    def fn(p):
+        out = (p + 1.0 if shifted else p) ** a
+        arg = p + math.e if shifted else p
+        for am in las:
+            arg = np.log(arg)
+            out = out * arg ** am
+        return out
+
+    return fn
+
+
+def _old_table(pv, tv):
+    lp, lt = np.log(pv), np.log(tv)
+    return lambda p: np.exp(np.interp(np.log(np.maximum(p, pv[0])), lp, lt))
+
+
+TABLE = (np.array([1.0, 10.0, 100.0, 1e4]), np.array([1.0, 2.0, 3.0, 5.0]))
+# (growth, the Theta formula it was built from before it was given by its log)
+FORMULA_CASES = {
+    "constant": (GrowthFunction.constant(1.7, p0=1.3), lambda p: np.full_like(p, 1.7)),
+    "power": (GrowthFunction.power(2.5, p0=1.5), _old_power(2.5)),
+    "shifted power": (GrowthFunction.power(0.5, p0=1.0, shift=1.0), _old_power(0.5, 1.0)),
+    "cube": (GrowthFunction.power(3.0), _old_power(3.0)),
+    "logpower": (GrowthFunction.log_power(1.0, (2.0,), p0=2.0), _old_log_power(1.0, (2.0,))),
+    "two logs": (GrowthFunction.log_power(0.5, (1.0, 1.0), p0=3.0), _old_log_power(0.5, (1.0, 1.0))),
+    "shifted logpower": (GrowthFunction.log_power(1.0, (1.0,), p0=1.0, shifted=True),
+                         _old_log_power(1.0, (1.0,), shifted=True)),
+    "table": (GrowthFunction.from_table(*TABLE), _old_table(*TABLE)),
+    "lifted power": (theta1(GrowthFunction.power(0.25)), lambda p: p * p ** 0.25),
+    "lifted logpower": (theta1(LOG), lambda p: p * np.log(p)),
+    "callable": (GrowthFunction.from_callable("sqrt(p)+1", lambda p: np.sqrt(p) + 1.0), lambda p: np.sqrt(p) + 1.0),
+}
+FORMULA_TOL = 1e-13
+
+
+class TestLogRepresentation:
+    """Each family gives log Theta in closed form; Theta is its exp.  Against
+    the Theta formulas they replaced, Theta and y move by rounding only."""
+
+    @pytest.mark.parametrize("name", FORMULA_CASES)
+    def test_theta_matches_the_formula(self, name):
+        g, fn = FORMULA_CASES[name]
+        ps = np.geomspace(g.p0, 1e12, 2000)
+        with np.errstate(over="ignore"):
+            old = fn(ps)
+        finite = np.isfinite(old)
+        assert finite.sum() >= 1000
+        assert np.allclose(g(ps)[finite], old[finite], rtol=FORMULA_TOL, atol=0.0)
+
+    @pytest.mark.parametrize("name", FORMULA_CASES)
+    def test_yudovich_matches_the_formula(self, name):
+        # the growth built from the formula takes its log as phi, as the
+        # search once did
+        g, fn = FORMULA_CASES[name]
+        rs = np.concatenate([np.geomspace(1e-300, 1.0, 20), np.geomspace(1.0 + 1e-9, 1e300, 400)])
+        old = yudovich(GrowthFunction.from_callable("formula", fn, p0=g.p0), rs)
+        assert np.allclose(yudovich(g, rs), old, rtol=FORMULA_TOL, atol=0.0)
+
+    @pytest.mark.parametrize("g", [
+        GrowthFunction.power(3.0), GrowthFunction.log_power(1.0, (2.0,)), theta1(GrowthFunction.power(0.25)),
+    ], ids=lambda g: g.name)
+    def test_log_is_finite_where_theta_overflows(self, g):
+        p = 1e305
+        x = math.log(p)
+        expected = {"p^3": 3.0 * x, "logpower(1;2)": x + 2.0 * math.log(x), "p*p^0.25": 1.25 * x}[g.name]
+        assert math.isfinite(g.log_value(p)) and g.log_value(p) == pytest.approx(expected, rel=1e-15)
+        assert np.all(np.isfinite(g.log_value(np.array([1e200, 1e250, p]))))
+        # Theta itself overflows there, to +inf and with no warning
+        assert g(p) == math.inf
+
+    def test_exponent_zero_is_one_everywhere(self):
+        # x**0 = 1 at every x, so a zero exponent adds 0 to log Theta even
+        # where its base is 0 or an iterated log is negative
+        assert GrowthFunction.power(0.0)(0.0) == 1.0
+        assert GrowthFunction.log_power(1.0, (0.0, 1.0), p0=3.0)(3.0) == pytest.approx(3.0 * math.log(math.log(3.0)))
 
 
 class TestLemma1RatioScan:
@@ -846,7 +928,7 @@ class TestPClass:
             worst = max(worst, ratio)
         assert rep.tail_ratio == pytest.approx(worst, rel=1e-6)
 
-    @pytest.mark.parametrize("log_alphas, p0, doubling", [((1.0,), 2.0, 4.0), ((1.0, 1.0), 3.0, 20.227050986243572)])
+    @pytest.mark.parametrize("log_alphas, p0, doubling", [((1.0,), 2.0, 4.0), ((1.0, 1.0), 3.0, 20.227050986243558)])
     def test_log_factors_report_without_warning(self, log_alphas, p0, doubling):
         # log 0 at p = 0 (the monotone sample, the tail sum's j = 0) and
         # log log 1 at p = 1 are report entries, not RuntimeWarnings
@@ -856,6 +938,13 @@ class TestPClass:
         # Pi(0) = 0 log 0 is nan: the witness names the term, not a divergence
         assert rep.witness["tail_sum"] == "tail term 0 is nan, not finite"
         assert rep.tail_ratio is None and rep.doubling_constant == doubling
+
+    def test_nowhere_finite_growth_reports(self):
+        # every doubling ratio is inf/inf: the constant is nan, with no
+        # all-nan RuntimeWarning, and every condition fails with a witness
+        rep = pclass_check(HULL_CASES["nowhere finite"], kappa=1.0)
+        assert not any(rep.passes.values()) and math.isnan(rep.doubling_constant)
+        assert rep.witness["monotone"] == 0.0 and rep.witness["tail_sum"] == "tail term 0 is inf, not finite"
 
 
 class TestTable:

@@ -3,12 +3,15 @@
     python tools/design_metrics.py [src/osgood]
 
 For each module of the package: its lines (as `wc -l` counts them), its
-settable options and its public top-level names, then the totals.
+settable options, its public top-level names and its `np.errstate` blocks,
+then the totals.
 
 - A settable option is a parameter with a default value in a `def`,
   nested ones included (a lambda's defaults are not counted).
 - A public top-level name is a module-level function, class or assigned
   name that does not start with an underscore.
+- An errstate block is a `with` statement one of whose items calls an
+  attribute named `errstate` (`with np.errstate(...)`).
 """
 
 from __future__ import annotations
@@ -43,6 +46,20 @@ def public_names(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def errstate_blocks(tree: ast.AST) -> int:
+    """`with` statements that enter an `....errstate(...)` call."""
+    return sum(
+        any(
+            isinstance(item.context_expr, ast.Call)
+            and isinstance(item.context_expr.func, ast.Attribute)
+            and item.context_expr.func.attr == "errstate"
+            for item in node.items
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.With, ast.AsyncWith))
+    )
+
+
 def module_metrics(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text, filename=str(path))
@@ -50,16 +67,18 @@ def module_metrics(path: Path) -> dict:
         "lines": text.count("\n"),
         "options": settable_options(tree),
         "public": len(public_names(tree)),
+        "errstate": errstate_blocks(tree),
     }
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[1]) if len(argv) > 1 else DEFAULT_PACKAGE
     rows = {p.name: module_metrics(p) for p in sorted(package.glob("*.py"))}
-    totals = {k: sum(r[k] for r in rows.values()) for k in ("lines", "options", "public")}
-    print(f"{'module':<16}{'lines':>7}{'options':>9}{'public':>8}")
+    columns = ("lines", "options", "public", "errstate")
+    totals = {k: sum(r[k] for r in rows.values()) for k in columns}
+    print(f"{'module':<16}{'lines':>7}{'options':>9}{'public':>8}{'errstate':>10}")
     for name, r in [*rows.items(), ("total", totals)]:
-        print(f"{name:<16}{r['lines']:>7}{r['options']:>9}{r['public']:>8}")
+        print(f"{name:<16}{r['lines']:>7}{r['options']:>9}{r['public']:>8}{r['errstate']:>10}")
     return 0
 
 
