@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasRisk, InvalidExponent, NonPositiveArgument
-from .field import Domain, GridField, _fourier_grid, dyadic_bmo_norm, lp_norm
+from .errors import AliasRisk, HypothesisViolated, InvalidExponent, NonPositiveArgument
+from .field import Domain, GridField, _fourier_grid, lp_norm
 from .growth import GrowthFunction, pclass_check, yudovich
 from .kfunc import BandSequence, _ratio, _sup_finite_ratio, k_seq
 
@@ -99,7 +99,6 @@ class DyadicDecomposition:
     bands: tuple            # of (j, GridField)
     mean: float
     source: GridField
-    inhomogeneous_zero_band: GridField | None = None
 
     def band_norms(self) -> BandSequence:
         return BandSequence(tuple((j, float(np.abs(b.data).max())) for j, b in self.bands))
@@ -111,7 +110,7 @@ class DyadicDecomposition:
         return total
 
 
-def decompose(f: GridField, warn_nyquist: bool = True, inhomogeneous: bool = False) -> DyadicDecomposition:
+def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
     """Split f into dyadic frequency bands (mean extracted separately).
 
     Bands whose annulus crosses the Nyquist frequency still reconstruct
@@ -131,22 +130,18 @@ def decompose(f: GridField, warn_nyquist: bool = True, inhomogeneous: bool = Fal
                  if _SUPP_HI * 2.0 ** j > n / 2 and np.abs(b.data).max() > 1e-12 * scale]
         if risky:
             warnings.warn(f"bands j in {risky} extend beyond the Nyquist circle |k| = {n // 2}", AliasRisk)
-    zero_band = None
-    if inhomogeneous:
-        # identity minus the strictly positive bands: mean + band 0 tails
-        high = np.zeros_like(f.data)
-        for j, b in bands:
-            if j > 0:
-                high += b.data
-        zero_band = GridField(f.data - high, f.domain)
-    return DyadicDecomposition(
-        bands=tuple(bands), mean=mean, source=f, inhomogeneous_zero_band=zero_band
-    )
+    return DyadicDecomposition(bands=tuple(bands), mean=mean, source=f)
 
 
-def besov_norm_seq(seq: BandSequence, beta: float) -> float:
-    """sum over bands of 2^(j beta) sup |band|."""
-    return float(np.sum(2.0 ** (seq.js * beta) * seq.norms))
+def besov_norm_seq(seq: BandSequence, beta):
+    """sum over bands of 2^(j beta) sup |band|; a float for scalar beta, an
+    array shaped like beta otherwise.  A beta not finite raises
+    InvalidExponent."""
+    beta = np.asarray(beta, dtype=float)
+    if not np.isfinite(beta).all():
+        raise InvalidExponent(f"beta must be finite, got {beta[~np.isfinite(beta)][0]}")
+    out = np.sum(2.0 ** (seq.js * beta[..., None]) * seq.norms, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def besov_norm(d: DyadicDecomposition, beta: float) -> float:
@@ -167,17 +162,17 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
     if not seq.entries:
         return 0.0
     js, norms = seq.js, seq.norms
-    n_max = int(js.max())
+    pis = g(np.arange(int(js.max()) + 1, dtype=float))
+    bad = np.flatnonzero(~(pis > 0.0))
+    if len(bad):
+        raise NonPositiveArgument(
+            f"growth {g.name} has Pi({bad[0]}) = {pis[bad[0]]:g}; the band norm divides by it"
+        )
     best = 0.0
     terms = 2.0 ** (js * beta) * norms
-    for N in range(0, n_max + 1):
-        pi_n = float(g(float(N)))
-        if not pi_n > 0.0:
-            raise NonPositiveArgument(
-                f"growth {g.name} has Pi({N}) = {pi_n:g}; the band norm divides by it"
-            )
-        partial = float(terms[js <= N].sum())
-        best = max(best, partial / pi_n)
+    # each partial summed afresh, not as a cumsum, whose order can move the last bit
+    for N, pi_n in enumerate(pis.tolist()):
+        best = max(best, float(terms[js <= N].sum()) / pi_n)
     return best
 
 
@@ -206,7 +201,7 @@ def thmve_equivalence_report(
     """
     rep = pclass_check(g, kappa)
     if not rep.all_pass:
-        raise ValueError(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
+        raise HypothesisViolated(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
     if isinstance(source, GridField):
         seq = decompose(source).band_norms()
     else:
@@ -221,10 +216,7 @@ def thmve_equivalence_report(
 
     pad = 0.02 * kappa
     alphas = np.linspace(beta - kappa + pad, beta - pad, _ALPHA_POINTS)
-    c_vals = [
-        besov_norm_seq(seq, float(a)) / float(g(1.0 / (beta - a))) for a in alphas
-    ]
-    c_val = float(np.max(c_vals))
+    c_val = float(np.max(besov_norm_seq(seq, alphas) / g(1.0 / (beta - alphas))))
 
     return EquivalenceReport(
         partial_sum_form=a_val, k_form=b_val, alpha_sup_form=c_val,
@@ -270,16 +262,3 @@ def band_inequality_checks(d: DyadicDecomposition, p0: float) -> dict:
             "bernstein_const": grad_sup / (2.0 ** j * sup),
         })
     return {"p0": p0, "bands": rows}
-
-
-def band_bmo_comparison(f: GridField) -> dict:
-    """Empirical surrogate for the oscillation-space embedding: compares
-    sup_j sup|band_j| against the dyadic mean-oscillation norm."""
-    seq = decompose(f).band_norms()
-    sup_band = float(seq.norms.max()) if len(seq.entries) else 0.0
-    bmo = dyadic_bmo_norm(f)
-    return {
-        "sup_band": sup_band,
-        "bmo_norm": bmo,
-        "ratio": _ratio(sup_band, bmo),
-    }

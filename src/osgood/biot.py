@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .bands import besov_norm, decompose, spectral_gradient, vishik_norm
-from .errors import NonZeroMean
+from .bands import besov_norm, decompose, vishik_norm
+from .errors import NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
@@ -45,12 +45,6 @@ def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridFie
     spec = np.fft.rfft2(omega.data)
     v1, v2 = (np.fft.irfft2(s * spec, s=omega.data.shape) for s in (1j * xi2 * amp, -1j * xi1 * amp))
     return GridField(v1, omega.domain), GridField(v2, omega.domain)
-
-
-def czo_gradient(omega: GridField, beta: float = 0.0) -> dict:
-    """The four spectral derivatives d_i v_j of the recovered velocity."""
-    grads = [spectral_gradient(v) for v in biot_savart(omega, beta)]
-    return {f"d{i + 1}v{j + 1}": grads[j][i] for i in range(2) for j in range(2)}
 
 
 def curl(v1: GridField, v2: GridField) -> GridField:
@@ -83,9 +77,13 @@ class ModulusEnvelope:
 
 
 def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float, lift: bool = True) -> np.ndarray:
-    """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p)."""
+    """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p); each
+    h must be finite and > 0, else NonPositiveArgument."""
     gg = theta1(g) if lift else g
     hs = np.asarray(h_samples, dtype=float)
+    ok = np.isfinite(hs) & (hs > 0.0)
+    if not ok.all():
+        raise NonPositiveArgument(f"h must be finite and > 0, got {hs[~ok][0]}")
     return hs * yudovich(gg, 1.0 / hs) * norm_reference
 
 

@@ -10,7 +10,6 @@ the domain rescales lengths and measures, never the samples.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -94,11 +93,6 @@ class GridField:
 
     def as_domain(self, domain: Domain) -> "GridField":
         return replace(self, domain=domain)
-
-
-def unitized(f: GridField) -> GridField:
-    """The same samples carried on the |Omega|=1 torus."""
-    return f.as_domain(Domain.UNIT_TORUS)
 
 
 # -- rearrangements ----------------------------------------------------------
@@ -192,10 +186,10 @@ def lp_norm(f: GridField, p: float) -> float:
 
 # -- dyadic cube hierarchy ---------------------------------------------------
 
-def cube_levels(n: int, min_side: int = _MIN_SIDE):
-    """Cube side lengths (in cells) from min_side up to n."""
+def cube_levels(n: int):
+    """Cube side lengths (in cells) from _MIN_SIDE = 4 up to n."""
     sides = []
-    s = min_side
+    s = _MIN_SIDE
     while s <= n:
         sides.append(s)
         s *= 2
@@ -315,7 +309,6 @@ def dyadic_bmo_norm(f: GridField) -> float:
 
 _MAGIC = b"OSGF"
 _DOMAINS_BY_TAG = {d.tag: d for d in Domain}
-_DOMAINS_BY_NAME = {d.value: d for d in Domain}
 
 
 def write_field_binary(f: GridField, path) -> None:
@@ -350,31 +343,3 @@ def read_field_binary(path) -> GridField:
         raise InvalidFieldFile(f"payload has {len(payload)} bytes, expected 8 n^2 = {8 * n * n} for n = {n}")
     data = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
     return GridField(data, _DOMAINS_BY_TAG[tag], mean_removed=bool(flags & 1))
-
-
-def write_field_csv(f: GridField, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={f.n} domain={f.domain.value}\n")
-        for row in f.data:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def read_field_csv(path) -> GridField:
-    """Read a file written by write_field_csv; the header line must name n, a
-    power of two >= 4, and a known domain, and the body must be n rows of n."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise InvalidFieldFile("missing header line")
-        meta = dict(part.partition("=")[::2] for part in header[1:].split())
-        if not meta.get("n", "").isdigit():
-            raise InvalidFieldFile(f"header has no integer n=: {header!r}")
-        n = int(meta["n"])
-        _check_file_size(n)
-        if meta.get("domain") not in _DOMAINS_BY_NAME:
-            raise InvalidFieldFile(f"unknown domain in header: {header!r}")
-        data = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
-    if data.shape != (n, n):
-        raise InvalidFieldFile(f"body has shape {data.shape}, expected ({n}, {n})")
-    return GridField(data, _DOMAINS_BY_NAME[meta["domain"]])

@@ -81,9 +81,14 @@ class BandSequence:
 # -- (L^p0, L^inf) ------------------------------------------------------------
 
 def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
+    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on prof.  For
+    p0 >= 1, t is clamped at (2 |Omega|)^(1/p0) before the power, so t^p0
+    cannot overflow: every measure past |Omega| reads the whole integral.
+    For p0 < 1 a finite t^p0 cannot overflow, but the cap could, so none."""
     _require_positive("p0", p0)
     t = np.asarray(t_grid, dtype=float)
-    k = prof.power_integral(t ** p0, p0) ** (1.0 / p0)
+    cap = (2.0 * prof.total_measure) ** (1.0 / p0) if p0 >= 1.0 else np.inf
+    k = prof.power_integral(np.minimum(t, cap) ** p0, p0) ** (1.0 / p0)
     return KCurve(pair=f"Lp_Linf(p0={p0:g})", t_samples=t, k_values=k)
 
 
@@ -244,26 +249,19 @@ def k_linf_lip(v: GridField | Sequence[GridField]) -> KCurve:
 def k_seq(seq: BandSequence, s0: float, s1: float, t):
     """Exact K for weighted little-l1 direct sums:
     sum_j min(2^(j s0), t 2^(j s1)) ||f_j||; a float for scalar t, an array
-    shaped like t otherwise."""
+    shaped like t otherwise.  Each t must be >= 0 (t = inf is the L^s0 end);
+    a nan or negative t raises NonPositiveArgument."""
     if not seq.entries:
         raise EmptySequence("band sequence has no entries")
     if not s0 < s1:
         raise ValueError("need s0 < s1")
     js, norms = seq.js, seq.norms
-    t = np.asarray(t, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise NonPositiveArgument(f"t must be >= 0, got {t[~(t >= 0.0)][0]}")
+    t = t[..., None]
     out = np.sum(np.minimum(2.0 ** (js * s0), t * 2.0 ** (js * s1)) * norms, axis=-1)
     return out if out.ndim else float(out)
-
-
-def k_seq_kappa(seq: BandSequence, beta: float, kappa: float, t):
-    """k_seq in its (beta, kappa) form, s0 = beta - kappa, s1 = beta:
-    sum_j min(1, 2^(j kappa) t) 2^(j (beta-kappa)) ||f_j||; needs kappa > 0."""
-    return k_seq(seq, beta - kappa, beta, t)
-
-
-def k_seq_curve(seq: BandSequence, s0: float, s1: float, t_grid) -> KCurve:
-    t = np.asarray(t_grid, dtype=float)
-    return KCurve(pair=f"Seq(s0={s0:g},s1={s1:g})", t_samples=t, k_values=k_seq(seq, s0, s1, t))
 
 
 # -- extrapolation supremum -------------------------------------------------------

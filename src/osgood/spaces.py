@@ -53,8 +53,9 @@ def _direct_and_k(prof: RearrangementProfile, g: GrowthFunction, p0: float) -> t
     field or of its maximal function: the direct sup of ||.||_p / Theta(p)
     over default_p_grid(p0), and the K form over default_t_grid() (64 points
     on [1e-6, 1e3])."""
-    direct = max((prof.lp(float(p)) / float(g(float(p))) for p in default_p_grid(p0)), default=0.0)
-    return float(direct), extrapolation_sup(k_lp_linf_profile(prof, p0, default_t_grid()), g, p0)
+    ps = default_p_grid(p0)
+    direct = max(prof.lp(p) / theta for p, theta in zip(ps.tolist(), g(ps).tolist()))
+    return direct, extrapolation_sup(k_lp_linf_profile(prof, p0, default_t_grid()), g, p0)
 
 
 def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormReport:

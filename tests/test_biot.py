@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from osgood import biot
-from osgood.biot import biot_savart, curl, czo_gradient, divergence_defect, modulus_envelope
+from osgood.bands import spectral_gradient
+from osgood.biot import biot_savart, curl, divergence_defect, envelope_curve, modulus_envelope
 from osgood.errors import NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
@@ -37,9 +38,9 @@ def test_divergence_free(beta):
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_czo_gradient_trace_vanishes(beta):
     w = full_spectrum_vorticity(64, seed=2)
-    g = czo_gradient(w, beta)
-    scale = max(np.abs(d.data).max() for d in g.values())
-    assert np.abs(g["d1v1"].data + g["d2v2"].data).max() <= 1e-12 * scale
+    (d1v1, d2v1), (d1v2, d2v2) = (spectral_gradient(v) for v in biot_savart(w, beta))
+    scale = max(np.abs(d.data).max() for d in (d1v1, d2v1, d1v2, d2v2))
+    assert np.abs(d1v1.data + d2v2.data).max() <= 1e-12 * scale
 
 
 def test_envelope_dominates_measured_modulus():
@@ -98,6 +99,13 @@ def test_envelope_norm_is_the_sharp_report_and_comes_first(monkeypatch):
     monkeypatch.setattr(biot, "biot_savart", velocity)
     with pytest.raises(NonPositiveArgument, match=re.escape("growth p^1 has Pi(0) = 0; the band norm divides by it")):
         modulus_envelope(w, 0.0, g, norm_choice="vishik")
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, [0.5, 0.0]])
+def test_envelope_curve_needs_finite_positive_h(h):
+    # h = 0 once warned "divide by zero" in 1 / h
+    with pytest.raises(NonPositiveArgument, match="h must be finite and > 0"):
+        envelope_curve(GrowthFunction.power(1.0), h, 1.0)
 
 
 def test_default_h_samples_follow_the_domain():

@@ -18,12 +18,9 @@ from osgood.field import (
     fefferman_stein_sharp,
     lp_norm,
     read_field_binary,
-    read_field_csv,
     rearrange,
     sharp_maximal,
-    unitized,
     write_field_binary,
-    write_field_csv,
 )
 from osgood.growth import GrowthFunction
 from osgood.kfunc import default_t_grid, k_lp_linf, k_lp_linf_profile
@@ -377,14 +374,6 @@ class TestIO:
         write_field_binary(f, path)
         assert read_field_binary(path).mean_removed
 
-    def test_csv_roundtrip(self, tmp_path):
-        f = GridField(rng.standard_normal((16, 16)), Domain.UNIT_TORUS)
-        path = tmp_path / "field.csv"
-        write_field_csv(f, path)
-        g = read_field_csv(path)
-        assert g.domain is Domain.UNIT_TORUS
-        assert np.array_equal(f.data, g.data)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.osgf"
         path.write_bytes(b"NOPE" + b"\0" * 20)
@@ -396,10 +385,6 @@ def _binary(n, tag=0, payload=None):
     return b"OSGF" + struct.pack("<III", n, tag, 0) + (bytes(8 * n * n) if payload is None else payload)
 
 
-def _csv(header, rows=4, cols=4):
-    return header + "\n" + "".join(",".join(["0.5"] * cols) + "\n" for _ in range(rows))
-
-
 MALFORMED = {
     "binary_short_header": (read_field_binary, b"OSGF\4\0"),
     "binary_unknown_tag": (read_field_binary, _binary(4, tag=7)),
@@ -408,14 +393,6 @@ MALFORMED = {
     "binary_n_too_small": (read_field_binary, _binary(2)),
     "binary_truncated_payload": (read_field_binary, _binary(8, payload=bytes(8 * 63))),
     "binary_long_payload": (read_field_binary, _binary(8, payload=bytes(8 * 65))),
-    "csv_no_header": (read_field_csv, _csv("0.5,0.5,0.5,0.5")),
-    "csv_unknown_domain": (read_field_csv, _csv("# n=4 domain=sphere")),
-    "csv_missing_domain": (read_field_csv, _csv("# n=4")),
-    "csv_missing_n": (read_field_csv, _csv("# domain=unit")),
-    "csv_n_not_integer": (read_field_csv, _csv("# n=4.0 domain=unit")),
-    "csv_n_not_power_of_two": (read_field_csv, _csv("# n=6 domain=unit", 6, 6)),
-    "csv_truncated_body": (read_field_csv, _csv("# n=4 domain=unit", rows=3)),
-    "csv_short_rows": (read_field_csv, _csv("# n=4 domain=unit", cols=2, rows=8)),
 }
 
 
@@ -423,10 +400,7 @@ MALFORMED = {
 def test_malformed_file_raises_typed_error(tmp_path, name):
     reader, content = MALFORMED[name]
     path = tmp_path / name
-    if isinstance(content, bytes):
-        path.write_bytes(content)
-    else:
-        path.write_text(content, encoding="utf-8")
+    path.write_bytes(content)
     with pytest.raises(InvalidFieldFile) as info:
         reader(path)
     assert isinstance(info.value, OsgoodError) and isinstance(info.value, ValueError)
@@ -435,7 +409,7 @@ def test_malformed_file_raises_typed_error(tmp_path, name):
 class TestDomainConversion:
     def test_unitized_rescales_measure_only(self):
         f = GridField(rng.standard_normal((16, 16)), Domain.TORUS_2PI)
-        g = unitized(f)
+        g = f.as_domain(Domain.UNIT_TORUS)
         assert g.total_measure == 1.0
         assert np.array_equal(f.data, g.data)
         assert lp_norm(g, 2.0) == pytest.approx(lp_norm(f, 2.0) / (2 * np.pi), rel=1e-12)
@@ -463,10 +437,10 @@ def full_sum_lp(f, p):
     return float(m * (scaled.sum() * f.cell_measure) ** (1.0 / p))
 
 
-def scatter_cube_sweep(f, stat, min_side=4):
+def scatter_cube_sweep(f, stat):
     n = f.n
     out = np.zeros_like(f.data)
-    for side in cube_levels(n, min_side=min_side):
+    for side in cube_levels(n):
         for shift in _cube_shifts(n, side):
             rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
             expanded = np.kron(stat(_block_view(rolled, side)), np.ones((side, side)))

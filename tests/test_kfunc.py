@@ -17,12 +17,12 @@ from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction, theta1, yudovich
 from osgood.kfunc import (
     BandSequence,
+    KCurve,
     k_linf_lip,
     k_lp_bmo,
     k_lp_linf,
+    k_lp_linf_profile,
     k_seq,
-    k_seq_curve,
-    k_seq_kappa,
     extrapolation_sup,
     default_t_grid,
     modulus_of_continuity,
@@ -92,6 +92,23 @@ class TestKLpLinf:
         kb = k_lp_linf(unit_field(b), 1.0, t).k_values
         kab = k_lp_linf(unit_field(a + b), 1.0, t).k_values
         assert np.all(kab <= ka + kb + 1e-12)
+
+    @pytest.mark.parametrize("domain", [Domain.TORUS_2PI, Domain.UNIT_TORUS])
+    def test_large_index_does_not_overflow(self, domain):
+        # t ** 120 overflowed at the default grid's t = 1e3; the clamped t
+        # reads the whole integral, the L^120 norm of f, at the top
+        f = GridField(np.random.default_rng(0).standard_normal((16, 16)), domain)
+        k = k_lp_linf(f, 120.0).k_values
+        assert np.all(np.isfinite(k)) and np.all(np.diff(k) >= 0.0)
+        assert k[-1] == pytest.approx(lp_norm(f, 120.0), rel=1e-12)
+
+    @pytest.mark.parametrize("domain", [Domain.TORUS_2PI, Domain.UNIT_TORUS])
+    @pytest.mark.parametrize("p0", [1.0, 4.0, 100.0])
+    def test_clamp_is_bit_identical_where_the_power_is_finite(self, domain, p0):
+        prof = rearrange(GridField(np.random.default_rng(4).standard_normal((16, 16)), domain))
+        t = np.concatenate([default_t_grid(), [0.0, 2.0, 30.0]])  # t ** 100 finite at each
+        unclamped = prof.power_integral(t ** p0, p0) ** (1.0 / p0)
+        assert np.array_equal(k_lp_linf_profile(prof, p0, t).k_values, unclamped)
 
     def test_shape_invariants_random(self):
         for _ in range(3):
@@ -374,16 +391,29 @@ class TestKSeq:
         assert k_seq(seq, -1.0, 0.0, 0.5) == pytest.approx(1.25)
 
     def test_kappa_form_matches(self):
-        # k_seq_kappa is k_seq at s0 = beta - kappa, s1 = beta; check it
-        # against the (beta, kappa) form of the sum written out
+        # k_seq at s0 = beta - kappa, s1 = beta against the (beta, kappa)
+        # form of the sum written out; kappa = 0 has s0 = s1
         seq = BandSequence(((0, 0.3), (2, 1.7), (5, 0.2)))
         js, norms = seq.js, seq.norms
         for beta, kappa in ((0.0, 1.0), (0.5, 0.25)):
             for t in (0.1, 1.0, 4.0):
                 direct = np.sum(np.minimum(1.0, 2.0 ** (js * kappa) * t) * 2.0 ** (js * (beta - kappa)) * norms)
-                assert k_seq_kappa(seq, beta, kappa, t) == pytest.approx(direct, rel=1e-14)
+                assert k_seq(seq, beta - kappa, beta, t) == pytest.approx(direct, rel=1e-14)
         with pytest.raises(ValueError):
-            k_seq_kappa(seq, 0.0, 0.0, 1.0)
+            k_seq(seq, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, -1.0, -np.inf, [0.5, np.nan], [1.0, -1e-300]])
+    def test_t_nan_or_negative_rejected(self, t):
+        # t = -1 once returned -1.5 and t = nan returned nan
+        seq = BandSequence(((0, 1.0), (1, 0.5)))
+        with pytest.raises(NonPositiveArgument, match="t must be >= 0"):
+            k_seq(seq, -1.0, 0.0, t)
+
+    def test_t_zero_and_infinity_are_the_ends(self):
+        # K(0) = 0 and K(inf) is the L^s0 sum
+        seq = BandSequence(((0, 1.0), (1, 0.5)))
+        assert k_seq(seq, -1.0, 0.0, 0.0) == 0.0
+        assert k_seq(seq, -1.0, 0.0, np.inf) == 1.0 + 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequence):
@@ -401,7 +431,8 @@ class TestKSeq:
             ks = k_seq(seq, s0, s1, ts)
             assert np.array_equal(ks, [k_seq(seq, s0, s1, float(t)) for t in ts])
             assert np.array_equal(k_seq(seq, s0, s1, ts.reshape(8, 12)), ks.reshape(8, 12))
-            assert np.array_equal(k_seq_curve(seq, s0, s1, ts).k_values, ks)
+            curve = KCurve(pair="seq", t_samples=ts, k_values=k_seq(seq, s0, s1, ts))
+            assert np.array_equal(curve.k_values, ks)
         assert isinstance(k_seq(seq, -1.0, 0.0, 0.5), float)
 
     def test_randomized_splitting_never_beats_closed_form(self):
@@ -453,7 +484,8 @@ class TestKSeq:
 
     def test_curve_shape(self):
         seq = BandSequence(((0, 1.0), (3, 0.5), (7, 2.0)))
-        k_seq_curve(seq, -1.0, 0.0, default_t_grid(1e-4, 1e2, 40)).check_shape()
+        ts = default_t_grid(1e-4, 1e2, 40)
+        KCurve(pair="seq", t_samples=ts, k_values=k_seq(seq, -1.0, 0.0, ts)).check_shape()
 
 
 class TestExtrapolationSup:

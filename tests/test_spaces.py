@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from osgood.errors import NonPositiveArgument
-from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm
+from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction
 from osgood.spaces import (
     default_p_grid,
@@ -155,6 +155,16 @@ def test_index_must_be_finite_and_positive(p0):
     for norm in (yudovich_norm, sharp_yudovich_norm):
         with pytest.raises(NonPositiveArgument, match="p0 must be finite and > 0"):
             norm(random_field(8, seed=104), LINEAR, p0=p0)
+
+
+@pytest.mark.parametrize("g", [CONST, LINEAR, QUADRATIC, GrowthFunction.log_power(1.0, (2.0,), shifted=True)])
+def test_direct_value_matches_the_scalar_loop(g):
+    # one Theta call over the p grid gives the bits of one call per p
+    f = random_field(32, seed=105)
+    for norm, prof, p0 in ((yudovich_norm, rearrange(f), 2.0),
+                           (sharp_yudovich_norm, rearrange(sharp_maximal(f)), 4.0)):
+        ref = max(prof.lp(float(p)) / float(g(float(p))) for p in default_p_grid(p0))
+        assert norm(f, g, p0=p0).direct_value == ref
 
 
 FORMS = ("direct_value", "char_k", "char_rearr", "char_rearr_star", "char_small_t")

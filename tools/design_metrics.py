@@ -3,8 +3,9 @@
     python tools/design_metrics.py [src/osgood]
 
 For each module of the package: its lines (as `wc -l` counts them), its
-settable options, its public top-level names and its `np.errstate` blocks,
-then the totals.
+settable options, its public top-level names, its `np.errstate` blocks and
+its test-only names, then the totals, and under the table the test-only
+names themselves.
 
 - A settable option is a parameter with a default value in a `def`,
   nested ones included (a lambda's defaults are not counted).
@@ -12,6 +13,10 @@ then the totals.
   name that does not start with an underscore.
 - An errstate block is a `with` statement one of whose items calls an
   attribute named `errstate` (`with np.errstate(...)`).
+- A test-only name is a public top-level name that no code outside its own
+  definition references, in the package or in `perfbench/` next to it: as a
+  name, an attribute, an imported name or a string constant (`perfbench`
+  lists the functions it traces by name).  Only the tests reach it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "osgood"
+COLUMNS = ("lines", "options", "public", "errstate", "test-only")
 
 
 def settable_options(tree: ast.AST) -> int:
@@ -33,17 +39,20 @@ def settable_options(tree: ast.AST) -> int:
     return count
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a def, a class, or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def public_names(tree: ast.Module) -> list[str]:
     """Module-level defs, classes and assigned names not starting with '_'."""
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return [n for n in names if not n.startswith("_")]
+    return [n for node in tree.body for n in defined_names(node) if not n.startswith("_")]
 
 
 def errstate_blocks(tree: ast.AST) -> int:
@@ -60,25 +69,51 @@ def errstate_blocks(tree: ast.AST) -> int:
     )
 
 
-def module_metrics(path: Path) -> dict:
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every identifier the tree reads or imports, and its string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def parse(path: Path) -> tuple[str, ast.Module]:
     text = path.read_text(encoding="utf-8")
-    tree = ast.parse(text, filename=str(path))
-    return {
-        "lines": text.count("\n"),
-        "options": settable_options(tree),
-        "public": len(public_names(tree)),
-        "errstate": errstate_blocks(tree),
-    }
+    return text, ast.parse(text, filename=str(path))
 
 
 def main(argv: list[str]) -> int:
     package = Path(argv[1]) if len(argv) > 1 else DEFAULT_PACKAGE
-    rows = {p.name: module_metrics(p) for p in sorted(package.glob("*.py"))}
-    columns = ("lines", "options", "public", "errstate")
-    totals = {k: sum(r[k] for r in rows.values()) for k in columns}
-    print(f"{'module':<16}{'lines':>7}{'options':>9}{'public':>8}{'errstate':>10}")
-    for name, r in [*rows.items(), ("total", totals)]:
-        print(f"{name:<16}{r['lines']:>7}{r['options']:>9}{r['public']:>8}{r['errstate']:>10}")
+    modules = {p.name: parse(p) for p in sorted(package.glob("*.py"))}
+    bench = [parse(p)[1] for p in sorted((package.parent.parent / "perfbench").glob("*.py"))]
+    # references of each top-level statement, keyed by (module, position)
+    refs = {(name, i): referenced_names(node)
+            for name, (_, tree) in modules.items() for i, node in enumerate(tree.body)}
+    refs.update({("perfbench", i): referenced_names(tree) for i, tree in enumerate(bench)})
+    rows, test_only = {}, []
+    for name, (text, tree) in modules.items():
+        unused = [n for i, node in enumerate(tree.body) for n in defined_names(node)
+                  if not n.startswith("_") and not any(n in r for key, r in refs.items() if key != (name, i))]
+        test_only += [f"{name[:-3]}.{n}" for n in unused]
+        rows[name] = {
+            "lines": text.count("\n"),
+            "options": settable_options(tree),
+            "public": len(public_names(tree)),
+            "errstate": errstate_blocks(tree),
+            "test-only": len(unused),
+        }
+    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in COLUMNS}
+    print(f"{'module':<16}" + "".join(f"{k:>11}" for k in COLUMNS))
+    for name, r in rows.items():
+        print(f"{name:<16}" + "".join(f"{r[k]:>11}" for k in COLUMNS))
+    print("\ntest-only names:", ", ".join(test_only) or "none")
     return 0
 
 
