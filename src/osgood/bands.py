@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasRisk, HypothesisViolated, InvalidExponent, NonPositiveArgument
+from .errors import AliasRisk, HypothesisViolated, InvalidExponent
 from .field import Domain, GridField, _fourier_grid, lp_norm
-from .growth import GrowthFunction, pclass_check, yudovich
+from .growth import GrowthFunction, _positive_theta, pclass_check, yudovich
 from .kfunc import BandSequence, _ratio, _sup_finite_ratio, k_seq
 
 _SUPP_LO, _PLATEAU_LO, _PLATEAU_HI, _SUPP_HI = 0.75, 0.875, 1.125, 1.75
@@ -56,42 +56,28 @@ def band_profile(rho) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BandFilter:
-    """Band multipliers phi(2^-j |k|) on an n-point grid's rfft2 half-plane, k integer."""
-
-    n: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """|k| on the half-plane, shape (n, n//2 + 1), Nyquist kept."""
-        k1, k2, _, _ = _fourier_grid(self.n, Domain.TORUS_2PI.side)
-        return np.hypot(k1, k2)
-
-    def band_range(self) -> range:
-        """All j whose annulus meets some nonzero grid frequency."""
-        max_freq = self.n / np.sqrt(2.0)
-        j_hi = int(np.floor(np.log2(max_freq / _SUPP_LO)))
-        return range(0, j_hi + 1)
-
-    def multipliers(self) -> np.ndarray:
-        """phi_j on the half-plane for every j of band_range, stacked; band_profile
-        runs once per distinct |k| and is gathered back (bit-identical)."""
-        rho = self.frequencies
-        distinct, inverse = np.unique(rho.ravel(), return_inverse=True)
-        return np.stack([band_profile(distinct / 2.0 ** j)[inverse].reshape(rho.shape)
-                         for j in self.band_range()])
-
-    def partition_defect(self) -> float:
-        """max over nonzero grid frequencies of |sum_j phi_j - 1|."""
-        total = self.multipliers().sum(axis=0)
-        return float(np.abs(total[self.frequencies > 0] - 1.0).max())
+def _band_range(n: int) -> range:
+    """All j whose annulus meets some nonzero frequency of an n-point grid."""
+    return range(0, int(np.floor(np.log2(n / np.sqrt(2.0) / _SUPP_LO))) + 1)
 
 
 @lru_cache(maxsize=8)
-def _cached_multipliers(n: int):
-    filt = BandFilter(n)
-    return list(filt.band_range()), filt.multipliers()
+def _multipliers(n: int) -> np.ndarray:
+    """phi(2^-j |k|) for every j of _band_range(n), stacked, on an n-point
+    grid's rfft2 half-plane, k integer, Nyquist kept; band_profile runs once
+    per distinct |k| and is gathered back (bit-identical).  Built once per n
+    and shared: callers must not write to it."""
+    k1, k2, _, _ = _fourier_grid(n, Domain.TORUS_2PI.side)
+    rho = np.hypot(k1, k2)
+    distinct, inverse = np.unique(rho.ravel(), return_inverse=True)
+    return np.stack([band_profile(distinct / 2.0 ** j)[inverse].reshape(rho.shape)
+                     for j in _band_range(n)])
+
+
+def _partition_defect(n: int) -> float:
+    """max over nonzero frequencies of an n-point grid of |sum_j phi_j - 1|:
+    every entry of the half-plane but the first, k = 0."""
+    return float(np.abs(_multipliers(n).sum(axis=0).ravel()[1:] - 1.0).max())
 
 
 @dataclass(frozen=True)
@@ -118,12 +104,11 @@ def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
     with a warning.
     """
     n = f.n
-    js, mults = _cached_multipliers(n)
     mean = float(f.data.mean())
     spec = np.fft.rfft2(f.data - mean)
     # one band at a time, so temporaries stay at about one band's size
     bands = [(j, GridField(np.fft.irfft2(spec * mult, s=f.data.shape), f.domain))
-             for j, mult in zip(js, mults) if mult.any()]
+             for j, mult in zip(_band_range(n), _multipliers(n)) if mult.any()]
     if warn_nyquist and bands:
         scale = max(float(np.abs(f.data).max()), 1e-300)
         risky = [j for j, b in bands
@@ -153,8 +138,9 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
 
     The grid realization truncates to j >= 0: integer frequencies have
     |xi| >= 1 once the mean is removed, so negative bands are empty.
-    Raises NonPositiveArgument if Pi(N) <= 0 for some N in that range, and
-    InvalidExponent for a beta not finite (a nan partial never wins the max).
+    The sup is the largest finite ratio, 0.0 if none is.  Raises
+    NonPositiveArgument if Pi(N) <= 0 for some N in that range, and
+    InvalidExponent for a beta not finite.
     """
     if not np.isfinite(beta):
         raise InvalidExponent(f"beta must be finite, got {beta}")
@@ -162,18 +148,11 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
     if not seq.entries:
         return 0.0
     js, norms = seq.js, seq.norms
-    pis = g(np.arange(int(js.max()) + 1, dtype=float))
-    bad = np.flatnonzero(~(pis > 0.0))
-    if len(bad):
-        raise NonPositiveArgument(
-            f"growth {g.name} has Pi({bad[0]}) = {pis[bad[0]]:g}; the band norm divides by it"
-        )
-    best = 0.0
+    pis = _positive_theta(g, np.arange(int(js.max()) + 1, dtype=float), "Pi", "the band norm")
     terms = 2.0 ** (js * beta) * norms
     # each partial summed afresh, not as a cumsum, whose order can move the last bit
-    for N, pi_n in enumerate(pis.tolist()):
-        best = max(best, float(terms[js <= N].sum()) / pi_n)
-    return best
+    partials = np.array([terms[js <= N].sum() for N in range(len(pis))])
+    return _sup_finite_ratio(partials, pis)
 
 
 @dataclass(frozen=True)
@@ -186,37 +165,31 @@ class EquivalenceReport:
     ratios: dict
 
 
-def thmve_equivalence_report(
-    source: GridField | BandSequence,
-    g: GrowthFunction,
-    beta: float,
-    kappa: float,
-) -> EquivalenceReport:
-    """Compare the three equivalent forms of the growth-indexed band norm.
+def thmve_equivalence_report(source: BandSequence, g: GrowthFunction,
+                             beta: float, kappa: float) -> EquivalenceReport:
+    """Compare the three equivalent forms of the growth-indexed band norm of
+    a band sequence, decompose(f).band_norms() for a field f.
 
     (a) partial-sum form plus the (beta - kappa) band sum; (b) universal
     K-functional form over the exact sequence K on 96 t; (c) supremum over
     _ALPHA_POINTS = 32 intermediate Besov exponents alpha with weight
-    Pi(1/(beta - alpha)).  The growth must pass pclass_check at kappa.
+    Pi(1/(beta - alpha)).  Each sup is the largest finite ratio, 0.0 if none
+    is.  The growth must pass pclass_check at kappa.
     """
     rep = pclass_check(g, kappa)
     if not rep.all_pass:
         raise HypothesisViolated(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
-    if isinstance(source, GridField):
-        seq = decompose(source).band_norms()
-    else:
-        seq = source
 
-    a_val = vishik_norm(seq, g, beta) + besov_norm_seq(seq, beta - kappa)
+    a_val = vishik_norm(source, g, beta) + besov_norm_seq(source, beta - kappa)
 
-    j_max = int(seq.js.max()) if len(seq.entries) else 0
+    j_max = int(source.js.max()) if len(source.entries) else 0
     t_lo = 2.0 ** (-(j_max + 3) * kappa)
     ts = np.geomspace(t_lo, 8.0, 96)
-    b_val = _sup_finite_ratio(k_seq(seq, beta - kappa, beta, ts), ts * yudovich(g, 1.0 / ts))
+    b_val = _sup_finite_ratio(k_seq(source, beta - kappa, beta, ts), ts * yudovich(g, 1.0 / ts))
 
     pad = 0.02 * kappa
     alphas = np.linspace(beta - kappa + pad, beta - pad, _ALPHA_POINTS)
-    c_val = float(np.max(besov_norm_seq(seq, alphas) / g(1.0 / (beta - alphas))))
+    c_val = _sup_finite_ratio(besov_norm_seq(source, alphas), g(1.0 / (beta - alphas)))
 
     return EquivalenceReport(
         partial_sum_form=a_val, k_form=b_val, alpha_sup_form=c_val,

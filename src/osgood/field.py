@@ -321,11 +321,6 @@ def write_field_binary(f: GridField, path) -> None:
         fh.write(f.data.astype("<f8").tobytes())
 
 
-def _check_file_size(n: int) -> None:
-    if not _is_grid_size(n):
-        raise InvalidFieldFile(f"grid size must be a power of two, at least 4, got {n}")
-
-
 def read_field_binary(path) -> GridField:
     """Read a file written by write_field_binary; the header (magic, n a power
     of two >= 4, a known domain tag) and a payload of exactly 8 n^2 bytes are
@@ -335,7 +330,8 @@ def read_field_binary(path) -> GridField:
         if len(header) != 16 or header[:4] != _MAGIC:
             raise InvalidFieldFile("not a field file (bad magic)")
         n, tag, flags = struct.unpack("<III", header[4:])
-        _check_file_size(n)
+        if not _is_grid_size(n):
+            raise InvalidFieldFile(f"grid size must be a power of two, at least 4, got {n}")
         if tag not in _DOMAINS_BY_TAG:
             raise InvalidFieldFile(f"unknown domain tag {tag}")
         payload = fh.read()

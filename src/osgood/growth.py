@@ -52,6 +52,17 @@ def _require_positive(name: str, value: float) -> None:
         raise NonPositiveArgument(f"{name} must be finite and > 0, got {value}")
 
 
+def _positive_theta(g: GrowthFunction, ps: np.ndarray, symbol: str, form: str) -> np.ndarray:
+    """g(ps) for a form that divides by it; NonPositiveArgument names the
+    first p where it is not > 0, as symbol(p)."""
+    thetas = g(ps)
+    bad = np.flatnonzero(~(thetas > 0.0))
+    if len(bad):
+        raise NonPositiveArgument(
+            f"growth {g.name} has {symbol}({ps[bad[0]]:g}) = {thetas[bad[0]]:g}; {form} divides by it")
+    return thetas
+
+
 def _log_power(x: np.ndarray, a: float) -> np.ndarray:
     """log(x**a) = a log x, and 0 for a = 0, as x**0 = 1 at every x."""
     return a * np.log(x) if a else np.zeros_like(x)

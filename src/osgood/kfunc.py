@@ -22,10 +22,8 @@ _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
 _ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
 _TIES = 64  # extreme samples per side the modulus's oscillation shortcut pairs
-
-
-def default_t_grid(lo: float = 1e-6, hi: float = 1e3, m: int = 64) -> np.ndarray:
-    return np.geomspace(lo, hi, m)
+_T_GRID = np.geomspace(1e-6, 1e3, 64)  # the K curves' t samples unless a caller gives its own
+_T_GRID.setflags(write=False)  # curves share it as their t_samples
 
 
 @dataclass(frozen=True)
@@ -84,30 +82,31 @@ def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
     """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on prof.  For
     p0 >= 1, t is clamped at (2 |Omega|)^(1/p0) before the power, so t^p0
     cannot overflow: every measure past |Omega| reads the whole integral.
-    For p0 < 1 a finite t^p0 cannot overflow, but the cap could, so none."""
+    For p0 < 1 a finite t^p0 cannot overflow, but the cap could, so none.
+    Where t^p0 is below the smallest normal float it has underflowed, and K
+    reads t f*(0), exact while t^p0 lies in the first cell."""
     _require_positive("p0", p0)
     t = np.asarray(t_grid, dtype=float)
     cap = (2.0 * prof.total_measure) ** (1.0 / p0) if p0 >= 1.0 else np.inf
-    k = prof.power_integral(np.minimum(t, cap) ** p0, p0) ** (1.0 / p0)
+    measure = np.minimum(t, cap) ** p0
+    k = prof.power_integral(measure, p0) ** (1.0 / p0)
+    k = np.where(measure < np.finfo(float).tiny, t * prof.values[0], k)
     return KCurve(pair=f"Lp_Linf(p0={p0:g})", t_samples=t, k_values=k)
 
 
-def k_lp_linf(f: GridField, p0: float, t_grid=None) -> KCurve:
-    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0); exact for p0 = 1."""
-    if t_grid is None:
-        t_grid = default_t_grid()
+def k_lp_linf(f: GridField, p0: float, t_grid=_T_GRID) -> KCurve:
+    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on t_grid, by default
+    _T_GRID (64 points geometric on [1e-6, 1e3]); exact for p0 = 1."""
     return k_lp_linf_profile(rearrange(f), p0, t_grid)
 
 
 # -- (L^p0, BMO) ---------------------------------------------------------------
 
-def k_lp_bmo(f: GridField, p0: float, t_grid=None) -> KCurve:
+def k_lp_bmo(f: GridField, p0: float, t_grid=_T_GRID) -> KCurve:
     """Oscillation-pair surrogate built from the trimmed-oscillation maximal
     function at the fixed lambda = _LAMBDA = 1/4 (in params); constants are
     absorbed, so the curve is an equivalent of the true K, not an equality."""
-    if t_grid is None:
-        t_grid = default_t_grid()
-    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, np.asarray(t_grid, float))
+    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, t_grid)
     return KCurve(
         pair=f"Lp_BMO(p0={p0:g})", t_samples=curve.t_samples, k_values=curve.k_values,
         params={"lambda": _LAMBDA, "surrogate": "trimmed-oscillation"},
@@ -280,7 +279,9 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
 
 
 def _sup_finite_ratio(num, den) -> float:
-    """max of the finite entries of num / den, 0 when there are none."""
+    """max of the finite entries of num / den, 0 when there are none: every
+    sampled sup of a norm form (over p, t, N or alpha) is taken by this one
+    rule, so a 0 / 0 or x / 0 sample never decides a form."""
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = num / den
     vals = vals[np.isfinite(vals)]

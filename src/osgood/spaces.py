@@ -3,7 +3,8 @@
 Each norm is computed three ways: the defining supremum over Lebesgue
 exponents, the rearrangement form, and the universal K-functional form.
 The three agree only up to absorbed constants, so reports carry all values
-and their pairwise ratios rather than asserting equality.
+and their pairwise ratios rather than asserting equality.  Every sup over
+samples is the largest finite ratio, 0.0 if none is (kfunc._sup_finite_ratio).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _require_positive, _with_p0, yudovich
-from .kfunc import _ratio, default_t_grid, extrapolation_sup, k_lp_linf_profile
+from .growth import GrowthFunction, _positive_theta, _require_positive, _with_p0, yudovich
+from .kfunc import _T_GRID, _ratio, _sup_finite_ratio, extrapolation_sup, k_lp_linf_profile
 
 _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
 
@@ -51,11 +52,11 @@ class NormReport:
 def _direct_and_k(prof: RearrangementProfile, g: GrowthFunction, p0: float) -> tuple[float, float]:
     """The two forms both reports take from prof, the rearrangement of the
     field or of its maximal function: the direct sup of ||.||_p / Theta(p)
-    over default_p_grid(p0), and the K form over default_t_grid() (64 points
+    over default_p_grid(p0), and the K form over kfunc._T_GRID (64 points
     on [1e-6, 1e3])."""
     ps = default_p_grid(p0)
-    direct = max(prof.lp(p) / theta for p, theta in zip(ps.tolist(), g(ps).tolist()))
-    return direct, extrapolation_sup(k_lp_linf_profile(prof, p0, default_t_grid()), g, p0)
+    direct = _sup_finite_ratio(np.array([prof.lp(p) for p in ps.tolist()]), g(ps))
+    return direct, extrapolation_sup(k_lp_linf_profile(prof, p0, _T_GRID), g, p0)
 
 
 def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormReport:
@@ -70,10 +71,10 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     ts = np.geomspace(max(prof.cell_measure / 4.0, 1e-14), 1.0 - 1e-9, 160)
     ys = yudovich(_with_p0(g, p0), 1.0 / ts)
     dd = prof.double_star(ts)
-    char_rearr = float(np.max(dd / ys))
-    char_rearr_star = float(np.max(prof.star(ts) / ys))
+    char_rearr = _sup_finite_ratio(dd, ys)
+    char_rearr_star = _sup_finite_ratio(prof.star(ts), ys)
     small = ts <= math.exp(-1.0)
-    char_small = float(np.max((dd / ys)[small])) if small.any() else char_rearr
+    char_small = _sup_finite_ratio(dd[small], ys[small]) if small.any() else char_rearr
     return NormReport(
         space="yudovich", direct_value=direct, char_k=char_k,
         char_rearr=char_rearr, char_rearr_star=char_rearr_star,
@@ -87,12 +88,14 @@ def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0) -> Nor
     built on the trimmed local-oscillation maximal function M at the fixed
     lambda = _LAMBDA = 1/4, with the p0-free rearrangement form
     sup_{t < 1/e} (M f)*(t) / Theta(-log t) on 80 points and the
-    K-functional form over the oscillation pair.
+    K-functional form over the oscillation pair.  Raises NonPositiveArgument
+    if Theta(-log t) <= 0 at a sample, as for an unshifted log power at p = 1.
     """
+    ts = np.geomspace(max(f.cell_measure / 4.0, 1e-14), math.exp(-1.0), 80)
+    thetas = _positive_theta(g, -np.log(ts), "Theta", "the rearrangement form")
     prof = rearrange(sharp_maximal(f))
     direct, char_k = _direct_and_k(prof, g, p0)
-    ts = np.geomspace(max(prof.cell_measure / 4.0, 1e-14), math.exp(-1.0), 80)
-    char_rearr = float(np.max(prof.star(ts) / np.asarray(g(-np.log(ts)), dtype=float)))
+    char_rearr = _sup_finite_ratio(prof.star(ts), thetas)
     return NormReport(
         space="sharp_yudovich", direct_value=direct, char_k=char_k,
         char_rearr=char_rearr, char_rearr_star=char_rearr, char_small_t=char_rearr,

@@ -1,0 +1,139 @@
+"""tools/design_metrics.py on a small package written to a temporary folder,
+with a perfbench/ folder next to its src/, as in the repository: every
+column of the table, and the test-only names printed under it."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "design_metrics.py"
+
+MODULES = {
+    "__init__.py": "",
+    # 2 + 1 + 1 + 1 options; the lambda's two defaults and c, which has none, are not counted
+    "opts.py": '''\
+def positional(a, b=1, c=2):
+    return a
+
+
+def keyword_only(a, *, b=1, c):
+    return lambda x=1, y=2: x
+
+
+class Holder:
+    def method(self, d=None):
+        def inner(e=0):
+            return e
+        return inner
+''',
+    # two errstate blocks, one of them the second item of its with
+    "guards.py": '''\
+import numpy as np
+
+
+def quiet(x):
+    with np.errstate(all="ignore"):
+        y = 1.0 / x
+    with open(__file__) as fh, np.errstate(divide="ignore"):
+        fh.read()
+    with open(__file__) as fh:
+        fh.read()
+    return y
+''',
+    # five public names; orphan refers only to itself, traced only perfbench names
+    "names.py": '''\
+LIMIT = 3
+_HIDDEN = 4
+
+
+def used():
+    return LIMIT + _HIDDEN
+
+
+def orphan():
+    return orphan
+
+
+def traced():
+    return None
+
+
+class Model:
+    pass
+''',
+    "caller.py": '''\
+from . import names
+from .names import used
+
+
+def main():
+    return used(), names.Model
+''',
+}
+BENCH = 'TRACED = ("traced", "positional", "keyword_only", "Holder", "quiet", "main")\n'
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """(rows by module as {column: value}, the test-only line)."""
+    root = tmp_path_factory.mktemp("repo")
+    package = root / "src" / "pkg"
+    package.mkdir(parents=True)
+    for name, text in MODULES.items():
+        (package / name).write_text(text)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "bench.py").write_text(BENCH)
+    spec = importlib.util.spec_from_file_location("design_metrics", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tool.main(["design_metrics.py", str(package)]) == 0
+    rows, test_only = out.getvalue().split("\n\n")
+    header, *rows = rows.splitlines()
+    assert header.split() == ["module", *tool.COLUMNS]
+    table = {r.split()[0]: dict(zip(tool.COLUMNS, map(int, r.split()[1:]))) for r in rows}
+    return table, test_only.strip()
+
+
+def column(table, name):
+    return {module: row[name] for module, row in table.items()}
+
+
+def test_lines_are_newlines(report):
+    table, _ = report
+    expect = {name: text.count("\n") for name, text in MODULES.items()}
+    assert column(table, "lines") == {**expect, "total": sum(expect.values())}
+
+
+def test_options_count_keyword_only_defaults_and_not_lambdas(report):
+    table, _ = report
+    assert column(table, "options") == {
+        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 0, "opts.py": 5, "total": 5,
+    }
+
+
+def test_public_names_skip_underscores(report):
+    table, _ = report
+    assert column(table, "public") == {
+        "__init__.py": 0, "caller.py": 1, "guards.py": 1, "names.py": 5, "opts.py": 3, "total": 10,
+    }
+
+
+def test_errstate_blocks(report):
+    table, _ = report
+    assert column(table, "errstate") == {
+        "__init__.py": 0, "caller.py": 0, "guards.py": 2, "names.py": 0, "opts.py": 0, "total": 2,
+    }
+
+
+def test_test_only_names_are_reached_from_nowhere_else(report):
+    # LIMIT is read by used, used and Model by caller, the rest by perfbench's strings
+    table, test_only = report
+    assert column(table, "test-only") == {
+        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 1, "opts.py": 0, "total": 1,
+    }
+    assert test_only == "test-only names: names.orphan"

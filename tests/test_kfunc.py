@@ -24,7 +24,6 @@ from osgood.kfunc import (
     k_lp_linf_profile,
     k_seq,
     extrapolation_sup,
-    default_t_grid,
     modulus_of_continuity,
     _h_grid,
 )
@@ -53,7 +52,7 @@ class TestKLpLinf:
         n = 16
         data = np.zeros((n, n))
         data.flat[: n * n // 4] = 1.0  # measure 1/4
-        curve = k_lp_linf(unit_field(data), 1.0, default_t_grid(1e-3, 10.0, 40))
+        curve = k_lp_linf(unit_field(data), 1.0, np.geomspace(1e-3, 10.0, 40))
         expect = np.minimum(curve.t_samples, 0.25)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
         curve.check_shape(concave_slack=0.0)
@@ -66,14 +65,14 @@ class TestKLpLinf:
 
     def test_constant_field(self):
         c, p0 = 3.0, 2.0
-        curve = k_lp_linf(unit_field(np.full((8, 8), c)), p0, default_t_grid(1e-2, 10.0, 30))
+        curve = k_lp_linf(unit_field(np.full((8, 8), c)), p0, np.geomspace(1e-2, 10.0, 30))
         expect = c * np.minimum(curve.t_samples**p0, 1.0) ** (1.0 / p0)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
 
     def test_prefix_sum_identity_p0_1(self):
         f = unit_field(rng.standard_normal((64, 64)))
         prof = rearrange(f)
-        curve = k_lp_linf(f, 1.0, default_t_grid(1e-4, 10.0, 30))
+        curve = k_lp_linf(f, 1.0, np.geomspace(1e-4, 10.0, 30))
         assert np.allclose(curve.k_values, prof.integral(curve.t_samples), rtol=1e-14)
 
     def test_log_power_small_t_band(self):
@@ -87,7 +86,7 @@ class TestKLpLinf:
     def test_subadditive_p0_1(self):
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
-        t = default_t_grid(1e-3, 10.0, 25)
+        t = np.geomspace(1e-3, 10.0, 25)
         ka = k_lp_linf(unit_field(a), 1.0, t).k_values
         kb = k_lp_linf(unit_field(b), 1.0, t).k_values
         kab = k_lp_linf(unit_field(a + b), 1.0, t).k_values
@@ -106,16 +105,31 @@ class TestKLpLinf:
     @pytest.mark.parametrize("p0", [1.0, 4.0, 100.0])
     def test_clamp_is_bit_identical_where_the_power_is_finite(self, domain, p0):
         prof = rearrange(GridField(np.random.default_rng(4).standard_normal((16, 16)), domain))
-        t = np.concatenate([default_t_grid(), [0.0, 2.0, 30.0]])  # t ** 100 finite at each
+        t = np.concatenate([np.geomspace(1e-6, 1e3, 64), [0.0, 2.0, 30.0]])  # t ** 100 finite at each
         unclamped = prof.power_integral(t ** p0, p0) ** (1.0 / p0)
-        assert np.array_equal(k_lp_linf_profile(prof, p0, t).k_values, unclamped)
+        normal = t ** p0 >= np.finfo(float).tiny  # below, t ** p0 has underflowed (next test)
+        assert np.array_equal(k_lp_linf_profile(prof, p0, t).k_values[normal], unclamped[normal])
+
+    @pytest.mark.parametrize("domain", [Domain.TORUS_2PI, Domain.UNIT_TORUS])
+    def test_underflowed_power_reads_the_first_cell(self, domain):
+        # t ** 120 is 0 on the first 24 default-grid samples, where K once read
+        # 0.0, and subnormal on the 25th; t ** p0 lies in the first cell
+        # there, so K = t f*(0) exactly
+        f = GridField(np.random.default_rng(0).standard_normal((16, 16)), domain)
+        curve = k_lp_linf(f, 120.0)
+        t, k = curve.t_samples, curve.k_values
+        under = np.minimum(t, 1.0) ** 120.0 < np.finfo(float).tiny
+        assert np.array_equal(np.flatnonzero(under), np.arange(25))
+        assert np.array_equal(k[under], t[under] * np.abs(f.data).max())
+        assert k[25] == pytest.approx(t[25] * np.abs(f.data).max(), rel=1e-12)
+        assert np.all(np.diff(k) >= 0.0)
 
     def test_shape_invariants_random(self):
         for _ in range(3):
             f = unit_field(rng.standard_normal((32, 32)))
             # p0 > 1 is a surrogate: concave only within equivalence slack
-            k_lp_linf(f, 1.5, default_t_grid(1e-4, 100.0, 40)).check_shape()
-            k_lp_linf(f, 1.0, default_t_grid(1e-4, 100.0, 40)).check_shape(concave_slack=0.0)
+            k_lp_linf(f, 1.5, np.geomspace(1e-4, 100.0, 40)).check_shape()
+            k_lp_linf(f, 1.0, np.geomspace(1e-4, 100.0, 40)).check_shape(concave_slack=0.0)
 
 
 class TestKLpBmo:
@@ -129,14 +143,14 @@ class TestKLpBmo:
         data[: n // 2] = 1.0
         f = unit_field(data)
         p0 = 2.0
-        curve = k_lp_bmo(f, p0, default_t_grid(1e-2, 100.0, 40))
+        curve = k_lp_bmo(f, p0, np.geomspace(1e-2, 100.0, 40))
         plateau = lp_norm(sharp_maximal(f, 0.25), p0)
         assert curve.k_values[-1] == pytest.approx(plateau, rel=1e-12)
 
     def test_bmo_prototype_slope_bounded(self):
         # K(t)/t tends to the max of the trimmed-oscillation field as t -> 0
         f = log_power_field(128, alpha=0.0)
-        curve = k_lp_bmo(f, 2.0, default_t_grid(1e-6, 1.0, 40))
+        curve = k_lp_bmo(f, 2.0, np.geomspace(1e-6, 1.0, 40))
         slopes = curve.k_values / curve.t_samples
         cap = sharp_maximal(f, 0.25).data.max()
         assert slopes[0] == pytest.approx(cap, rel=1e-9)
@@ -484,7 +498,7 @@ class TestKSeq:
 
     def test_curve_shape(self):
         seq = BandSequence(((0, 1.0), (3, 0.5), (7, 2.0)))
-        ts = default_t_grid(1e-4, 1e2, 40)
+        ts = np.geomspace(1e-4, 1e2, 40)
         KCurve(pair="seq", t_samples=ts, k_values=k_seq(seq, -1.0, 0.0, ts)).check_shape()
 
 
@@ -498,7 +512,7 @@ class TestExtrapolationSup:
         # flat growth: the sup is comparable to max(Lp0 norm, sup norm)
         f = unit_field(np.abs(rng.standard_normal((64, 64))) + 0.5)
         p0 = 2.0
-        curve = k_lp_linf(f, p0, default_t_grid(1e-8, 1e6, 120))
+        curve = k_lp_linf(f, p0, np.geomspace(1e-8, 1e6, 120))
         val = extrapolation_sup(curve, CONST, p0)
         lo = max(lp_norm(f, p0), lp_norm(f, np.inf))
         assert 0.4 * lo <= val <= 2.0 * (lp_norm(f, p0) + lp_norm(f, np.inf))
@@ -510,7 +524,7 @@ class TestExtrapolationSup:
         quad_vals, lin_vals = [], []
         for n in (128, 256, 512):
             f = log_power_field(n)
-            curve = k_lp_linf(f, 1.0, default_t_grid(1e-7, 0.3, 80))
+            curve = k_lp_linf(f, 1.0, np.geomspace(1e-7, 0.3, 80))
             quad_vals.append(extrapolation_sup(curve, GrowthFunction.power(2.0, p0=1.0), 1.0))
             lin_vals.append(extrapolation_sup(curve, GrowthFunction.power(1.0, p0=1.0), 1.0))
         quad_vals, lin_vals = np.asarray(quad_vals), np.asarray(lin_vals)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from osgood.bands import decompose, thmve_equivalence_report, vishik_norm
+from osgood.biot import modulus_envelope
 from osgood.errors import NonPositiveArgument
 from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction
@@ -16,6 +18,7 @@ from osgood.spaces import (
 CONST = GrowthFunction.constant(1.0, p0=1.0)
 LINEAR = GrowthFunction.power(1.0, p0=1.0)
 QUADRATIC = GrowthFunction.power(2.0, p0=1.0)
+AFFINE = GrowthFunction.power(1.0, p0=1.0, shift=1.0)
 
 
 def unit_field(data):
@@ -35,10 +38,31 @@ def log_power_field(n, alpha=1.0):
     return unit_field(np.abs(np.log(rho)) ** (alpha + 1.0))
 
 
+def every_form(rep):
+    return [getattr(rep, form) for form in FORMS]
+
+
+def equivalence_forms(f):
+    rep = thmve_equivalence_report(decompose(f).band_norms(), AFFINE, beta=0.0, kappa=1.0)
+    return [rep.partial_sum_form, rep.k_form, rep.alpha_sup_form]
+
+
+# each report's forms on a field; every sup in them takes the largest finite ratio
+REPORTS = {
+    "yudovich_norm": lambda f: every_form(yudovich_norm(f, CONST)),
+    "sharp_yudovich_norm": lambda f: every_form(sharp_yudovich_norm(f, CONST)),
+    "modulus_envelope": lambda f: [modulus_envelope(f, 0.0, CONST).fitted_c],
+    "vishik_norm": lambda f: [vishik_norm(decompose(f), CONST)],
+    "thmve_equivalence_report": equivalence_forms,
+}
+
+
 class TestYudovichNorm:
-    def test_zero_field(self):
-        rep = yudovich_norm(unit_field(np.zeros((16, 16))), CONST)
-        assert rep.direct_value == rep.char_k == rep.char_rearr == 0.0
+    @pytest.mark.parametrize("report", REPORTS)
+    def test_zero_field(self, report):
+        # a 0 / 0 sample is skipped as not finite; a sup with no finite sample is 0.0
+        forms = REPORTS[report](unit_field(np.zeros((16, 16))))
+        assert forms and all(v == 0.0 for v in forms)
 
     def test_flat_growth_indicator(self):
         n = 32
@@ -90,6 +114,12 @@ class TestSharpYudovichNorm:
         rep = sharp_yudovich_norm(unit_field(np.full((16, 16), 9.0)), CONST)
         assert rep.direct_value == 0.0
         assert rep.char_rearr == 0.0
+
+    def test_vanishing_growth_rejected(self):
+        # Theta(-log t) = log^2 1 = 0 at t = 1/e: the form once divided by it
+        g = GrowthFunction.log_power(1.0, (2.0,))
+        with pytest.raises(NonPositiveArgument, match=r"growth logpower\(1;2\) has Theta\(1\) = 0"):
+            sharp_yudovich_norm(random_field(16, seed=106), g)
 
     def test_flat_growth_comparable_to_bmo(self):
         f = random_field(64, seed=100)
