@@ -11,6 +11,7 @@ frequencies and is flagged rather than forbidden.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import spaces
 from .bands import besov_norm, decompose, vishik_norm
-from .errors import NonPositiveArgument, NonZeroMean
-from .field import GridField, _fourier_grid
+from .errors import InvalidExponent, NonPositiveArgument, NonZeroMean
+from .field import _LOG_FLOAT_MAX, GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
 
@@ -28,21 +29,32 @@ def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridFie
     """Velocity (v1, v2) with v_hat = i (xi_2, -xi_1) |xi|^(beta-2) w_hat.
 
     beta = 0 is the classical vorticity inversion (curl v = omega); the
-    output is real and divergence-free by construction of the symbol.
+    output is real and divergence-free by construction of the symbol.  A
+    beta that is not finite, or one whose gain |xi|^(beta-1) times the
+    largest |w_hat| passes the float range on this grid, raises
+    InvalidExponent.
     """
+    if not math.isfinite(beta):
+        raise InvalidExponent(f"beta must be finite, got {beta}")
     if abs(float(omega.data.mean())) > 1e-10 * max(float(np.abs(omega.data).max()), 1e-300):
         raise NonZeroMean("vorticity must be mean-free (the zero mode has no velocity)")
-    if beta > 2.0:
-        # |xi|^(beta-1) at the Nyquist ring |xi| = pi / spacing: the gain of v over w there
-        gain = (np.pi / omega.spacing) ** (beta - 1.0)
-        warnings.warn(f"beta={beta:g} amplifies the top band by {gain:.3g}", UserWarning)
     _, _, xi1, xi2 = _fourier_grid(omega.n, omega.domain.side)
     rho = np.hypot(xi1, xi2)
+    spec = np.fft.rfft2(omega.data)
+    if beta > 2.0:
+        # the gain |xi|^(beta-1) of v over w, in logs: the warning reads it at
+        # the Nyquist ring |xi| = pi / spacing, the range check at the largest
+        # |xi| of either, times the largest |w_hat| (at least 1)
+        log_nyquist = math.log(np.pi / omega.spacing)
+        log_top = (beta - 1.0) * max(log_nyquist, math.log(float(rho.max())))
+        if log_top + math.log(max(float(np.abs(spec).max()), 1.0)) > _LOG_FLOAT_MAX:
+            raise InvalidExponent(f"beta={beta:g} amplifies the top band by e^{log_top:.4g}, past the floats")
+        gain = math.exp((beta - 1.0) * log_nyquist)
+        warnings.warn(f"beta={beta:g} amplifies the top band by {gain:.3g}", UserWarning)
     with np.errstate(divide="ignore", invalid="ignore"):
         amp = rho ** (beta - 2.0)
     # xi = 0 at the zero mode and at (n/2, 0), (0, n/2), (n/2, n/2)
     amp[rho == 0] = 0.0
-    spec = np.fft.rfft2(omega.data)
     v1, v2 = (np.fft.irfft2(s * spec, s=omega.data.shape) for s in (1j * xi2 * amp, -1j * xi1 * amp))
     return GridField(v1, omega.domain), GridField(v2, omega.domain)
 

@@ -41,5 +41,10 @@ class InvalidFieldFile(OsgoodError, ValueError):
     """A field file whose header or payload is malformed."""
 
 
+class InvalidField(OsgoodError, ValueError):
+    """Field samples that are not a square power-of-two grid of finite values,
+    or a mean-free flag the samples do not meet."""
+
+
 class AliasRisk(UserWarning):
     """Top frequency band touches the Nyquist annulus."""

@@ -10,16 +10,20 @@ the domain rescales lengths and measures, never the samples.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidFieldFile, InvalidLambda, NonPositiveArgument
+from .errors import InvalidExponent, InvalidField, InvalidFieldFile, InvalidLambda, NonPositiveArgument
 
 _MIN_SIDE = 4  # the smallest dyadic cube side, in cells
 _LAMBDA = 0.25  # the trimmed fraction of the sharp maximal function
+_MEAN_ROUNDING = 2.0 ** -50  # 8 x 2^-53: the mean oscillation's allowance per sample, see _cube_sweep
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Domain(Enum):
@@ -61,16 +65,16 @@ class GridField:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("field must be a square 2-d array")
+            raise InvalidField("field must be a square 2-d array")
         if not _is_grid_size(arr.shape[0]):
-            raise ValueError("grid size must be a power of two, at least 4")
+            raise InvalidField("grid size must be a power of two, at least 4")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("field samples must be finite")
+            raise InvalidField("field samples must be finite")
         object.__setattr__(self, "data", arr)
         if self.mean_removed:
             scale = max(float(np.abs(arr).max()), 1e-300)
             if abs(float(arr.mean())) > 1e-12 * scale:
-                raise ValueError("mean_removed flag set but mean is not ~0")
+                raise InvalidField("mean_removed flag set but mean is not ~0")
 
     @property
     def n(self) -> int:
@@ -125,9 +129,13 @@ class RearrangementProfile:
 
     def power_integral(self, t, p: float):
         """integral of (f*)^p over (0, t), exact on partial cells, for p
-        finite and > 0."""
+        finite and > 0; a p at which f*(0)^p passes the float range raises
+        InvalidExponent."""
         if not 0.0 < p < np.inf:
             raise InvalidExponent(f"p must be finite and > 0, got {p}")
+        top = float(self.values[0]) if len(self.values) else 0.0
+        if top > 1.0 and p * math.log(top) > _LOG_FLOAT_MAX:
+            raise InvalidExponent(f"f*(0)^p = {top:g}^{p:g} passes the float range")
         t = _measures(t)
         powered = self.values ** p
         prefix = np.concatenate([[0.0], np.cumsum(powered) * self.cell_measure])
@@ -196,34 +204,54 @@ def cube_levels(n: int):
     return sides
 
 
-def _block_view(data: np.ndarray, side: int) -> np.ndarray:
-    """(n/side, n/side, side*side) view of aligned blocks."""
-    n = data.shape[0]
-    b = n // side
-    return data.reshape(b, side, b, side).transpose(0, 2, 1, 3).reshape(b, b, side * side)
+def _wrapped_pairs(a: np.ndarray, op, step: int) -> np.ndarray:
+    """op over the wrapped 2 x 2 block of entries (i, j), (i + step, j),
+    (i, j + step), (i + step, j + step) of a, for every (i, j)."""
+    rows = op(a, np.roll(a, -step, axis=0))
+    return op(rows, np.roll(rows, -step, axis=1))
 
 
-def _cube_shifts(n: int, side: int):
-    """Anchor shifts making the family translation-fair on the torus.
+def _half_ranges(data: np.ndarray, rounding: float):
+    """(side, bound) over the cube levels, coarse to fine: bound[a, b] is at
+    least the statistic of the cube anchored at half-side cell (a, b), a
+    (2n/side)-square array below the top level and 1 x 1 at side n.
 
-    Aligned cubes plus the three half-side-shifted (periodically wrapped)
-    families at every level below the full square.
+    Every cube is a wrapped 2 x 2 block of its level's half-side cells;
+    anchor (a, b) is the cube of the family shifted by (a % 2, b % 2) half
+    sides.  The cell maxima and minima are one pyramid of strided 2 x 2
+    maxima and minima, built from the finest level up.  The bound is half
+    the cube's range plus rounding * m * (max(|max|, |min|) + 2^-1022) for m
+    samples; the 2^-1022 covers rounding among subnormals.
     """
-    if side >= n:
-        return [(0, 0)]
+    n = data.shape[0]
+    hi = lo = data
+    levels = []
+    for side in cube_levels(n):
+        rows = np.maximum(hi[0::2], hi[1::2])
+        hi = np.maximum(rows[:, 0::2], rows[:, 1::2])
+        rows = np.minimum(lo[0::2], lo[1::2])
+        lo = np.minimum(rows[:, 0::2], rows[:, 1::2])
+        if side == n:
+            levels.append((side, hi.max(keepdims=True), lo.min(keepdims=True)))
+        else:
+            levels.append((side, _wrapped_pairs(hi, np.maximum, 1), _wrapped_pairs(lo, np.minimum, 1)))
+    for side, top, bottom in reversed(levels):
+        magnitude = np.maximum(np.abs(top), np.abs(bottom)) + 2.0 ** -1022
+        yield side, 0.5 * (top - bottom) + rounding * (side * side) * magnitude
+
+
+def _cube_stats(wrapped: np.ndarray, n: int, side: int, a: np.ndarray, b: np.ndarray, stat) -> np.ndarray:
+    """stat of the cubes anchored at half-side cells (a[i], b[i]), each a
+    row-major window of the field wrapped periodically by n/4 down and right
+    (a cube below the top level wraps by at most a half side of n/4),
+    gathered in chunks of at most n^2 samples, which stat may overwrite."""
     h = side // 2
-    return [(0, 0), (h, 0), (0, h), (h, h)]
-
-
-def _cubes(f: GridField, stat):
-    """(side, shift, stat of every cube of that family) over the cube family,
-    coarse to fine, sides _MIN_SIDE = 4 cells to n; entry (i, j) is the cube
-    anchored at shift + side (i, j)."""
-    n = f.n
-    for side in reversed(cube_levels(n)):
-        for shift in _cube_shifts(n, side):
-            rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
-            yield side, shift, stat(_block_view(rolled, side))
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (side, side))
+    step = (n // side) ** 2
+    return np.concatenate([
+        stat(windows[a[i:i + step] * h, b[i:i + step] * h].reshape(-1, side * side))
+        for i in range(0, len(a), step)
+    ])
 
 
 def _spread(a: np.ndarray, m: int) -> np.ndarray:
@@ -237,42 +265,61 @@ def _spread(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _cube_sweep(f: GridField, stat) -> GridField:
+def _cube_sweep(f: GridField, stat, rounding: float) -> GridField:
     """For each cell, the max of stat(samples of Q) over the dyadic cubes Q
-    containing it; stat maps (b, b, side*side) blocks to (b, b) values.
+    containing it; stat maps (L, side*side) samples to L values >= 0.
 
-    Each level is accumulated on its grid of half-side cells, where every
-    cube, aligned or shifted by half a side, is a 2 x 2 block: a 2x spread
-    and a one-cell roll of a small array.  The running maximum is spread 2x
-    to each finer level, and the n x n output is written once, from the
-    finest grid.  Only maxima are taken, so no bit depends on the order.
+    The running maximum lives on each level's grid of half-side cells, where
+    every cube, aligned or shifted by half a side, is a wrapped 2 x 2 block;
+    it is spread 2x to each finer level, and the n x n output is written
+    once, from the finest grid.  Only live cubes are gathered and given
+    their statistic: those whose bound from `_half_ranges` exceeds the
+    floor, the least running maximum over their cells.  A pruned cube could
+    not raise the maximum of any cell it covers, and keeps 0; only maxima
+    are taken, so no bit depends on the pruning or the order.
+
+    The trimmed oscillation takes rounding 0.  Each of its values is
+    0.5 fl(s_i - s_j) for samples lo <= s_j <= s_i <= hi, at most
+    0.5 fl(hi - lo) since rounding is monotone: half the range bounds it
+    exactly in floats, and a constant field prunes every cube.  The mean
+    oscillation takes _MEAN_ROUNDING.  Its computed block mean can sit off
+    the true mean and its sums round, so for m samples of largest magnitude
+    M it can pass the computed half range by about (2m + 3) 2^-53 M, which
+    the allowance 8 m 2^-53 (M + 2^-1022) covers.  The allowance is not
+    proportional to the range: a constant block's computed mean oscillation
+    need not be 0.
     """
     n = f.n
+    wrapped = np.pad(f.data, (0, n // 4), mode="wrap")
     acc = np.zeros((1, 1))
-    for side, shift, values in _cubes(f, stat):
-        cell = max(side // 2, 1)
-        acc = _spread(acc, n // cell)
-        cubes = _spread(values, n // cell)
-        if shift != (0, 0):
-            cubes = np.roll(cubes, (shift[0] // cell, shift[1] // cell), axis=(0, 1))
-        np.maximum(acc, cubes, out=acc)
+    for side, bound in _half_ranges(f.data, rounding):
+        k = bound.shape[0]
+        acc = _spread(acc, k)
+        a, b = np.nonzero(bound > _wrapped_pairs(acc, np.minimum, 1))
+        if len(a):
+            values = np.zeros((k, k))
+            values[a, b] = _cube_stats(wrapped, n, side, a, b, stat)
+            # cell (i, j) is covered by the cubes anchored at (i or i - 1, j or j - 1)
+            np.maximum(acc, _wrapped_pairs(values, np.maximum, -1), out=acc)
     return GridField(_spread(acc, n), f.domain)
 
 
 def _trimmed_oscillation(blocks: np.ndarray, lam: float) -> np.ndarray:
     """Half-length of the shortest interval containing ceil((1-lam) m) of a
-    block's m samples."""
-    s = np.sort(blocks, axis=-1)
-    m = s.shape[-1]
+    block's m samples; sorts blocks in place."""
+    blocks.sort(axis=-1)
+    m = blocks.shape[-1]
     keep = m - int(np.floor(lam * m))
     if keep >= m:
-        return 0.5 * (s[..., -1] - s[..., 0])
-    window = s[..., keep - 1:] - s[..., : m - keep + 1]
+        return 0.5 * (blocks[..., -1] - blocks[..., 0])
+    window = blocks[..., keep - 1:] - blocks[..., : m - keep + 1]
     return 0.5 * np.min(window, axis=-1)
 
 
 def _mean_oscillation(blocks: np.ndarray) -> np.ndarray:
-    return np.abs(blocks - blocks.mean(axis=-1, keepdims=True)).mean(axis=-1)
+    """avg |x - avg x| over each block's samples; overwrites blocks."""
+    blocks -= blocks.mean(axis=-1, keepdims=True)
+    return np.abs(blocks, out=blocks).mean(axis=-1)
 
 
 def sharp_maximal(f: GridField, lam: float = _LAMBDA) -> GridField:
@@ -286,7 +333,7 @@ def sharp_maximal(f: GridField, lam: float = _LAMBDA) -> GridField:
     """
     if not (0.0 < lam <= 0.5):
         raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
-    return _cube_sweep(f, lambda b: _trimmed_oscillation(b, lam))
+    return _cube_sweep(f, lambda b: _trimmed_oscillation(b, lam), 0.0)
 
 
 def fefferman_stein_sharp(f: GridField) -> GridField:
@@ -295,14 +342,29 @@ def fefferman_stein_sharp(f: GridField) -> GridField:
 
     Its global maximum is the (dyadic) BMO norm of the field.
     """
-    return _cube_sweep(f, _mean_oscillation)
+    return _cube_sweep(f, _mean_oscillation, _MEAN_ROUNDING)
 
 
 def dyadic_bmo_norm(f: GridField) -> float:
     """The (dyadic) BMO norm: the largest mean oscillation avg_Q |f - avg_Q f|
     over the cube family, which is the maximum of fefferman_stein_sharp, taken
-    straight from the per-cube values with no n x n field built."""
-    return float(max((v.max() for _, _, v in _cubes(f, _mean_oscillation)), default=0.0))
+    straight from the per-cube values with no n x n field built.
+
+    Levels run coarse to fine, and a cube is given its mean oscillation only
+    when its bound exceeds the running best, which it could not raise
+    otherwise.  The bound is half the cube's range plus the rounding
+    allowance 8 m 2^-53 (M + 2^-1022) for m samples of largest magnitude M:
+    the computed mean can sit off the true one, so the computed mean
+    oscillation can pass half the range by about (2m + 3) 2^-53 M (see
+    `_cube_sweep`).
+    """
+    wrapped = np.pad(f.data, (0, f.n // 4), mode="wrap")
+    best = 0.0
+    for side, bound in _half_ranges(f.data, _MEAN_ROUNDING):
+        a, b = np.nonzero(bound > best)
+        if len(a):
+            best = max(best, float(_cube_stats(wrapped, f.n, side, a, b, _mean_oscillation).max()))
+    return best
 
 
 # -- field I/O ----------------------------------------------------------------

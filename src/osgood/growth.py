@@ -493,6 +493,8 @@ class OsgoodSpec:
     def validate(self) -> None:
         if self.orientation is OsgoodOrientation.ZERO_END:
             _require_positive("epsilon_L", self.epsilon_L)
+            if not self.epsilon_L * 1e-8 > 0.0:
+                raise NonPositiveArgument(f"1e-8 epsilon_L underflows to 0 at epsilon_L = {self.epsilon_L}")
             rs = np.geomspace(self.epsilon_L * 1e-8, self.epsilon_L, 64)
         else:
             rs = np.geomspace(1.0, 1e8, 64)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySequence, NonPositiveArgument
+from .errors import EmptySequence, InvalidField, NonPositiveArgument
 from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
 from .growth import GrowthFunction, _require_positive, _with_p0, yudovich
 
@@ -188,7 +188,7 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
 
     min and max are exact and fl(a - b) is monotone in b, so each route gives
     the same bits.  Work is O(n^2 a) per swept h.  A component that is not a
-    square 2-d array of finite samples raises ValueError; a spacing not finite
+    square 2-d array of finite samples raises InvalidField; a spacing not finite
     and > 0, or an h not finite, NonPositiveArgument (h < 0 is an empty disc).
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
@@ -199,10 +199,10 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     comps = [np.asarray(c, dtype=float) for c in fields]
     if any(v.ndim != 2 or v.shape[0] != v.shape[1] for v in comps):
         # n = shape[0] wraps both axes; a shortcut would not see a mismatch
-        raise ValueError("each component must be a square 2-d array")
+        raise InvalidField("each component must be a square 2-d array")
     if not all(np.isfinite(v).all() for v in comps):
         # a nan, or inf - inf, in v - lower would read as a zero modulus
-        raise ValueError("component samples must be finite")
+        raise InvalidField("component samples must be finite")
     osc = [float(v.max() - v.min()) for v in comps]
     for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
         v = comps[k]

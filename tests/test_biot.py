@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from osgood import biot
 from osgood.bands import spectral_gradient
 from osgood.biot import biot_savart, curl, divergence_defect, envelope_curve, modulus_envelope
-from osgood.errors import NonPositiveArgument
+from osgood.errors import InvalidExponent, NonPositiveArgument
 from osgood.field import Domain, GridField
 from osgood.growth import GrowthFunction
 from osgood.spaces import sharp_yudovich_norm
@@ -73,6 +74,24 @@ def test_top_band_gain_warning(domain, gain):
     # |xi|^(beta-1) at the Nyquist ring |xi| = pi / spacing, here beta = 3, n = 16
     with pytest.warns(UserWarning, match=re.escape(f"by {gain}") + "$"):
         biot_savart(GridField(np.zeros((16, 16)), domain), 3.0)
+
+
+def test_nan_beta_is_an_invalid_exponent():
+    # it once raised "field samples must be finite" about its own nan velocity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidExponent, match="beta must be finite"):
+            biot_savart(full_spectrum_vorticity(16, seed=7), np.nan)
+
+
+def test_beta_past_the_float_range_is_an_invalid_exponent():
+    # the warning's gain (pi / spacing)^(beta - 1) once raised an untyped
+    # OverflowError; it is taken in logs, and a gain past the floats is refused
+    # before any warning or velocity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidExponent, match="past the floats"):
+            biot_savart(full_spectrum_vorticity(16, seed=7), 1e300)
 
 
 def test_envelope_checks_arguments_before_measuring(monkeypatch):

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from osgood.errors import InvalidExponent, InvalidFieldFile, InvalidLambda, NonPositiveArgument, OsgoodError
+from osgood.errors import (
+    InvalidExponent,
+    InvalidField,
+    InvalidFieldFile,
+    InvalidLambda,
+    NonPositiveArgument,
+    OsgoodError,
+)
 from osgood.field import (
     Domain,
     GridField,
     cube_levels,
-    _block_view,
-    _cube_shifts,
-    _mean_oscillation,
-    _trimmed_oscillation,
     dyadic_bmo_norm,
     fefferman_stein_sharp,
     lp_norm,
@@ -140,6 +143,17 @@ class TestRearrange:
         curve = k_lp_linf(f, 8.0)
         assert np.all(np.isfinite(curve.k_values)) and curve.k_values[-1] == whole ** (1.0 / 8.0)
 
+    def test_power_integral_past_the_float_range(self):
+        # f*(0)^1000 overflowed with a RuntimeWarning; where it is finite the
+        # bits are the plain power sum's
+        f = GridField(np.random.default_rng(16).standard_normal((16, 16)))
+        prof = rearrange(f)
+        with pytest.raises(InvalidExponent, match="float range"):
+            k_lp_linf(f, 1000.0)
+        v = prof.values
+        p = float(np.floor(np.log(np.finfo(float).max) / np.log(v[0])))
+        assert prof.power_integral(0.5 * prof.cell_measure, p) == 0.5 * prof.cell_measure * v[0] ** p
+
     @pytest.mark.parametrize("p", [np.nan, -1.0, 0.0, np.inf], ids=str)
     def test_power_integral_needs_a_finite_positive_exponent(self, p):
         prof = rearrange(GridField(rng.standard_normal((16, 16))))
@@ -222,13 +236,22 @@ class TestLpNorm:
 
 # -- independent brute-force oracles over the same cube family ---------------
 
+def cube_shifts(n, side):
+    """Aligned cubes plus the three half-side-shifted (periodically wrapped)
+    families at every level below the full square."""
+    if side >= n:
+        return [(0, 0)]
+    h = side // 2
+    return [(0, 0), (h, 0), (0, h), (h, h)]
+
+
 def brute_sharp(f, lam):
     n = f.n
     out = np.zeros((n, n))
     for side in cube_levels(n):
         m = side * side
         keep = m - int(np.floor(lam * m))
-        for shift in _cube_shifts(n, side):
+        for shift in cube_shifts(n, side):
             for bi in range(n // side):
                 for bj in range(n // side):
                     rows = [(shift[0] + bi * side + a) % n for a in range(side)]
@@ -250,7 +273,7 @@ def brute_fs(f):
     n = f.n
     out = np.zeros((n, n))
     for side in cube_levels(n):
-        for shift in _cube_shifts(n, side):
+        for shift in cube_shifts(n, side):
             for bi in range(n // side):
                 for bj in range(n // side):
                     rows = [(shift[0] + bi * side + a) % n for a in range(side)]
@@ -358,6 +381,44 @@ class TestFeffermanStein:
             assert ratios.min() > 1.0 / 16.0
 
 
+def smooth_noise(n, seed):
+    """Gaussian noise low-passed by exp(-|k|^2 / 50) on integer wavenumbers."""
+    k = np.fft.fftfreq(n, 1.0 / n)
+    low = np.exp(-(k[:, None] ** 2 + k[None, :] ** 2) / 50.0)
+    return np.fft.ifft2(np.fft.fft2(np.random.default_rng(seed).standard_normal((n, n))) * low).real
+
+
+class TestOscillationIdentities:
+    # rho is the distance to the centre, floored at half a cell, on the unit
+    # torus, so log rho = -log_power_field(n, 0)
+
+    def test_bmo_membership_is_a_resolution_law(self):
+        # log rho is in BMO: its norm reads 0.452 at every n; |log rho|^1.5 is
+        # not, and its norm grows at each doubling (1.29 -> 1.61 over 64 ... 512)
+        ns = (64, 128, 256, 512)
+        logs = [dyadic_bmo_norm(log_power_field(n, 0.0)) for n in ns]
+        powers = np.array([dyadic_bmo_norm(log_power_field(n, 0.5)) for n in ns])
+        assert np.allclose(logs, 0.452, atol=1e-3)
+        assert np.all(np.diff(powers) > 0.08)
+        assert powers[-1] / powers[0] > 1.2
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_bennett_devore_sharpley(self, n):
+        # f**(t) - f*(t) <= c (M#f)*(t): the sup over t from one cell to
+        # |Omega| / 2 reads 1.63-1.72 for |log rho|^1.5, 2.47-2.52 for
+        # |log rho|^3 and 0.45-0.50 for smooth noise at n = 64 ... 512, the
+        # same on both domains, as scale invariance requires; c = 3 bounds it
+        for data in (log_power_field(n, 0.5).data, log_power_field(n, 2.0).data, smooth_noise(n, 1)):
+            ratios = []
+            for domain in Domain:
+                f = GridField(data, domain)
+                prof, sharp = rearrange(f), rearrange(sharp_maximal(f))
+                t = f.cell_measure * np.arange(1, n * n // 2 + 1)
+                ratios.append(np.max((prof.double_star(t) - prof.star(t)) / sharp.star(t)))
+            assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+            assert 0.3 < ratios[0] < 3.0
+
+
 class TestIO:
     def test_binary_roundtrip(self, tmp_path):
         f = GridField(rng.standard_normal((32, 32)), Domain.TORUS_2PI)
@@ -419,13 +480,22 @@ class TestDomainConversion:
             GridField(np.ones((8, 8)), Domain.UNIT_TORUS, mean_removed=True)
 
 
-# -- exactness gate: the full power sum and the n x n scatter sweep ------------
+@pytest.mark.parametrize("data", [np.ones((8, 4)), np.ones(8), np.ones((6, 6)), np.full((4, 4), np.nan)],
+                         ids=["not_square", "1d", "n_6", "nan"])
+def test_invalid_samples_raise_a_typed_value_error(data):
+    with pytest.raises(InvalidField) as info:
+        GridField(data)
+    assert isinstance(info.value, OsgoodError) and isinstance(info.value, ValueError)
+
+
+# -- exactness gate: the full power sum and the unpruned cube walk -------------
 #
 # Reference copies of the straightforward forms: the max-scaled power sum over
-# every sample, unsorted and untruncated, and the cube sweep that spreads each
-# cube family over the n x n grid with np.kron and np.roll.  The sorted,
-# truncated sum must agree to rel 1e-15, and the sweeps, which take maxima
-# only, bit for bit.
+# every sample, unsorted and untruncated, and the cube walk that gives every
+# cube of every family its statistic, rolls the field once per family and
+# spreads each family over the n x n grid.  The sorted, truncated sum must
+# agree to rel 1e-15; the pruned walk, which skips the cubes whose half range
+# cannot raise the running maximum, bit for bit.
 
 def full_sum_lp(f, p):
     a = np.abs(f.data)
@@ -437,17 +507,44 @@ def full_sum_lp(f, p):
     return float(m * (scaled.sum() * f.cell_measure) ** (1.0 / p))
 
 
-def scatter_cube_sweep(f, stat):
+def block_view(data, side):
+    """(n/side, n/side, side*side) aligned blocks, each row-major."""
+    b = data.shape[0] // side
+    return data.reshape(b, side, b, side).transpose(0, 2, 1, 3).reshape(b, b, side * side)
+
+
+def trimmed_oscillation(blocks, lam):
+    s = np.sort(blocks, axis=-1)
+    m = s.shape[-1]
+    keep = m - int(np.floor(lam * m))
+    if keep >= m:
+        return 0.5 * (s[..., -1] - s[..., 0])
+    return 0.5 * np.min(s[..., keep - 1:] - s[..., : m - keep + 1], axis=-1)
+
+
+def mean_oscillation(blocks):
+    return np.abs(blocks - blocks.mean(axis=-1, keepdims=True)).mean(axis=-1)
+
+
+def unpruned_cubes(f, stat):
+    """(side, shift, stat of every cube of the family) over every family."""
     n = f.n
-    out = np.zeros_like(f.data)
     for side in cube_levels(n):
-        for shift in _cube_shifts(n, side):
+        for shift in cube_shifts(n, side):
             rolled = f.data if shift == (0, 0) else np.roll(f.data, (-shift[0], -shift[1]), axis=(0, 1))
-            expanded = np.kron(stat(_block_view(rolled, side)), np.ones((side, side)))
-            if shift != (0, 0):
-                expanded = np.roll(expanded, shift=shift, axis=(0, 1))
-            np.maximum(out, expanded, out=out)
+            yield side, shift, stat(block_view(rolled, side))
+
+
+def scatter_cube_sweep(f, stat):
+    out = np.zeros_like(f.data)
+    for side, shift, values in unpruned_cubes(f, stat):
+        expanded = np.repeat(np.repeat(values, side, axis=0), side, axis=1)
+        np.maximum(out, np.roll(expanded, shift=shift, axis=(0, 1)), out=out)
     return out
+
+
+def unpruned_bmo(f):
+    return float(max(values.max() for _, _, values in unpruned_cubes(f, mean_oscillation)))
 
 
 GATE_NS = (8, 16, 32, 64, 128, 256, 512)
@@ -463,7 +560,19 @@ def gate_field(n, scale):
     return unit_field(data * (scale / np.abs(data).max()))
 
 
-@pytest.mark.parametrize("n", GATE_NS)
+def edge_fields(n):
+    """Fields at the pruning's edges: constants, whose every cube has range 0;
+    rows alternating 0.7 and 1.9, whose every cube has mean oscillation equal
+    to its half range, so each cube's bound meets the floor the coarser cubes
+    set, and only the rounding allowance keeps the cubes whose computed value
+    rounds above it (at n = 32, 64 and 128 without it); and heavy ties, a few
+    levels in steps of 0.1."""
+    stripes = np.where(np.arange(n)[:, None] % 2 == 0, 0.7, 1.9) * np.ones(n)
+    ties = 0.1 * np.round(2.0 * np.random.default_rng(n + 1).standard_normal((n, n)))
+    return [np.zeros((n, n)), np.full((n, n), 0.1), stripes, ties]
+
+
+@pytest.mark.parametrize("n", (4, *GATE_NS))
 class TestExactnessGate:
     def test_lp_matches_full_sum(self, n):
         for scale in GATE_SCALES:
@@ -476,16 +585,20 @@ class TestExactnessGate:
 
     def test_cube_sweeps_bit_identical(self, n):
         # the singular field oscillates most on small cubes, the two modes on
-        # the full square
+        # the full square; the domain changes no sample, so each reference
+        # serves both
         x = np.arange(n) / n
-        modes = unit_field(np.add.outer(np.cos(2 * np.pi * x), 0.5 * np.cos(2 * np.pi * x + 1.0)))
-        for f in [gate_field(n, scale) for scale in GATE_SCALES] + [modes]:
+        modes = np.add.outer(np.cos(2 * np.pi * x), 0.5 * np.cos(2 * np.pi * x + 1.0))
+        for data in [gate_field(n, scale).data for scale in GATE_SCALES] + [modes] + edge_fields(n):
+            fields = [GridField(data, domain) for domain in Domain]
             for lam in GATE_LAMS:
-                ref = scatter_cube_sweep(f, lambda b: _trimmed_oscillation(b, lam))
-                assert np.array_equal(sharp_maximal(f, lam).data, ref)
-            ref = scatter_cube_sweep(f, _mean_oscillation)
-            assert np.array_equal(fefferman_stein_sharp(f).data, ref)
-            assert dyadic_bmo_norm(f) == ref.max()
+                ref = scatter_cube_sweep(fields[0], lambda b: trimmed_oscillation(b, lam))
+                assert all(np.array_equal(sharp_maximal(f, lam).data, ref) for f in fields)
+            ref = scatter_cube_sweep(fields[0], mean_oscillation)
+            assert all(np.array_equal(fefferman_stein_sharp(f).data, ref) for f in fields)
+            assert unpruned_bmo(fields[0]) == ref.max()
+            assert all(dyadic_bmo_norm(f) == ref.max() for f in fields)
+        assert np.all(sharp_maximal(GridField(np.full((n, n), 0.1))).data == 0.0)
 
 
 @pytest.mark.parametrize("n", GATE_NS[:4])
@@ -493,7 +606,7 @@ def test_report_direct_values_match_full_sums(n):
     g = GrowthFunction.power(0.5)
     for scale in GATE_SCALES:
         f = gate_field(n, scale)
-        sm = unit_field(scatter_cube_sweep(f, lambda b: _trimmed_oscillation(b, 0.25)))
+        sm = unit_field(scatter_cube_sweep(f, lambda b: trimmed_oscillation(b, 0.25)))
         for rep, base, p0 in ((yudovich_norm(f, g), f, 1.0), (sharp_yudovich_norm(f, g), sm, 4.0)):
             ref = max(full_sum_lp(base, p) / g(p) for p in default_p_grid(p0))
             assert rep.direct_value == pytest.approx(ref, rel=1e-15, abs=0.0)

@@ -585,6 +585,12 @@ class TestOsgood:
         with pytest.raises(NonPositiveArgument, match="epsilon_L"):
             osgood_test(OsgoodSpec(modulus=np.sqrt, epsilon_L=eps))
 
+    def test_zero_end_epsilon_whose_samples_underflow(self):
+        # 5e-324 * 1e-8 is 0, and numpy's geomspace once raised "Geometric
+        # sequence cannot include zero" from the modulus check
+        with pytest.raises(NonPositiveArgument, match="epsilon_L"):
+            osgood_test(osgood_from_growth(LINEAR, epsilon_L=5e-324))
+
     def test_zero_end_stops_before_underflow(self):
         # no early exit: the march runs until e^x would underflow, log 1e-30
         # + 274 decades = log 1e-304, and the tail fit decides

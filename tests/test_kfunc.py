@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import osgood
 
-from osgood.errors import EmptySequence, NonPositiveArgument
+from osgood.errors import EmptySequence, InvalidField, NonPositiveArgument
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction, theta1, yudovich
 from osgood.kfunc import (
@@ -206,6 +206,8 @@ class TestKLinfLip:
         v = np.zeros(shape) + np.arange(shape[-1])
         with pytest.raises(ValueError, match="square 2-d array"):
             modulus_of_continuity([np.zeros((8, 8)), v], 0.1, np.array([0.3]))
+        with pytest.raises(InvalidField):
+            modulus_of_continuity([v], 0.1, np.array([0.3]))
 
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
                              ids=["nan", "+inf", "-inf", "+-inf"])
@@ -215,6 +217,8 @@ class TestKLinfLip:
         v.flat[[5, 77][:len(bad)]] = bad
         with pytest.raises(ValueError, match="finite"):
             modulus_of_continuity([np.zeros((16, 16)), v], 2 * np.pi / 16, np.array([0.3, 1.0, 3.0]))
+        with pytest.raises(InvalidField):
+            modulus_of_continuity([v], 2 * np.pi / 16, np.array([0.3]))
 
     def test_bad_spacing_and_h_rejected(self):
         # spacing 0 divided by zero, a negative spacing read as a zero
