@@ -85,9 +85,10 @@ class DyadicDecomposition:
     bands: tuple            # of (j, GridField)
     mean: float
     source: GridField
+    sups: BandSequence      # (j, max |band_j|), taken once by decompose
 
     def band_norms(self) -> BandSequence:
-        return BandSequence(tuple((j, float(np.abs(b.data).max())) for j, b in self.bands))
+        return self.sups
 
     def reconstruct(self) -> np.ndarray:
         total = np.full_like(self.source.data, self.mean)
@@ -109,13 +110,14 @@ def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
     # one band at a time, so temporaries stay at about one band's size
     bands = [(j, GridField(np.fft.irfft2(spec * mult, s=f.data.shape), f.domain))
              for j, mult in zip(_band_range(n), _multipliers(n)) if mult.any()]
+    # max |b| as max(max b, -min b), exact with no full-size temporary; abs turns -0.0 into 0.0
+    sups = BandSequence(tuple((j, abs(max(float(b.data.max()), -float(b.data.min())))) for j, b in bands))
     if warn_nyquist and bands:
         scale = max(float(np.abs(f.data).max()), 1e-300)
-        risky = [j for j, b in bands
-                 if _SUPP_HI * 2.0 ** j > n / 2 and np.abs(b.data).max() > 1e-12 * scale]
+        risky = [j for j, sup in sups.entries if _SUPP_HI * 2.0 ** j > n / 2 and sup > 1e-12 * scale]
         if risky:
             warnings.warn(f"bands j in {risky} extend beyond the Nyquist circle |k| = {n // 2}", AliasRisk)
-    return DyadicDecomposition(bands=tuple(bands), mean=mean, source=f)
+    return DyadicDecomposition(bands=tuple(bands), mean=mean, source=f, sups=sups)
 
 
 def besov_norm_seq(seq: BandSequence, beta):
@@ -220,8 +222,7 @@ def band_inequality_checks(d: DyadicDecomposition, p0: float) -> dict:
     C_bern(j) = sup|grad b_j| / (2^j sup|b_j|), gradients spectral.
     """
     rows = []
-    for j, b in d.bands:
-        sup = float(np.abs(b.data).max())
+    for (j, b), (_, sup) in zip(d.bands, d.sups.entries):
         if sup == 0.0:
             continue
         lp = lp_norm(b, p0)

@@ -20,9 +20,11 @@ import numpy as np
 from . import spaces
 from .bands import besov_norm, decompose, vishik_norm
 from .errors import InvalidExponent, NonPositiveArgument, NonZeroMean
-from .field import _LOG_FLOAT_MAX, GridField, _fourier_grid
+from .field import GridField, _fourier_grid
 from .growth import GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridField]:

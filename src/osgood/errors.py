@@ -25,10 +25,6 @@ class InvalidExponent(OsgoodError):
     """Lebesgue exponent outside [1, inf] (or nan), or a band exponent that is not finite."""
 
 
-class InvalidLambda(OsgoodError):
-    """Rearrangement fraction outside (0, 1/2]."""
-
-
 class NonZeroMean(OsgoodError):
     """Field must be mean-free for the requested spectral operation."""
 
@@ -42,8 +38,7 @@ class InvalidFieldFile(OsgoodError, ValueError):
 
 
 class InvalidField(OsgoodError, ValueError):
-    """Field samples that are not a square power-of-two grid of finite values,
-    or a mean-free flag the samples do not meet."""
+    """Field samples that are not a square power-of-two grid of finite values."""
 
 
 class AliasRisk(UserWarning):

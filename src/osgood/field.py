@@ -10,20 +10,17 @@ the domain rescales lengths and measures, never the samples.
 
 from __future__ import annotations
 
-import math
 import struct
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidField, InvalidFieldFile, InvalidLambda, NonPositiveArgument
+from .errors import InvalidExponent, InvalidField, InvalidFieldFile, NonPositiveArgument
 
 _MIN_SIDE = 4  # the smallest dyadic cube side, in cells
 _LAMBDA = 0.25  # the trimmed fraction of the sharp maximal function
 _MEAN_ROUNDING = 2.0 ** -50  # 8 x 2^-53: the mean oscillation's allowance per sample, see _cube_sweep
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Domain(Enum):
@@ -60,7 +57,6 @@ def _is_grid_size(n: int) -> bool:
 class GridField:
     data: np.ndarray
     domain: Domain = Domain.TORUS_2PI
-    mean_removed: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
@@ -71,10 +67,6 @@ class GridField:
         if not np.all(np.isfinite(arr)):
             raise InvalidField("field samples must be finite")
         object.__setattr__(self, "data", arr)
-        if self.mean_removed:
-            scale = max(float(np.abs(arr).max()), 1e-300)
-            if abs(float(arr.mean())) > 1e-12 * scale:
-                raise InvalidField("mean_removed flag set but mean is not ~0")
 
     @property
     def n(self) -> int:
@@ -91,9 +83,6 @@ class GridField:
     @property
     def spacing(self) -> float:
         return self.domain.side / self.n
-
-    def remove_mean(self) -> "GridField":
-        return GridField(self.data - self.data.mean(), self.domain, mean_removed=True)
 
     def as_domain(self, domain: Domain) -> "GridField":
         return replace(self, domain=domain)
@@ -129,19 +118,19 @@ class RearrangementProfile:
 
     def power_integral(self, t, p: float):
         """integral of (f*)^p over (0, t), exact on partial cells, for p
-        finite and > 0; a p at which f*(0)^p passes the float range raises
-        InvalidExponent."""
+        finite and > 0.  A request passing the float range, at any t when
+        f*(0)^p does, raises InvalidExponent; later prefix sums may overflow."""
         if not 0.0 < p < np.inf:
             raise InvalidExponent(f"p must be finite and > 0, got {p}")
-        top = float(self.values[0]) if len(self.values) else 0.0
-        if top > 1.0 and p * math.log(top) > _LOG_FLOAT_MAX:
-            raise InvalidExponent(f"f*(0)^p = {top:g}^{p:g} passes the float range")
         t = _measures(t)
-        powered = self.values ** p
-        prefix = np.concatenate([[0.0], np.cumsum(powered) * self.cell_measure])
         idx = self._cells(t)
-        at = np.where(idx < len(powered), powered[np.minimum(idx, len(powered) - 1)], 0.0)
-        out = prefix[idx] + (t - idx * self.cell_measure) * at
+        with np.errstate(over="ignore", invalid="ignore"):
+            powered = self.values ** p
+            prefix = np.concatenate([[0.0], np.cumsum(powered) * self.cell_measure])
+            at = np.where(idx < len(powered), powered[np.minimum(idx, len(powered) - 1)], 0.0)
+            out = prefix[idx] + (t - idx * self.cell_measure) * at
+        if not np.isfinite(out).all():
+            raise InvalidExponent(f"the integral of (f*)^{p:g} up to t = {t.max():g} passes the float range")
         return out if out.shape else float(out)
 
     def _cells(self, t: np.ndarray) -> np.ndarray:
@@ -180,7 +169,13 @@ def _measures(t) -> np.ndarray:
 
 
 def rearrange(f: GridField) -> RearrangementProfile:
-    vals = np.sort(np.abs(f.data), axis=None)[::-1]
+    """The decreasing rearrangement of |f|: -|f| sorted in place and negated
+    back, so the values are contiguous (powers of a reversed view are slow)."""
+    vals = np.empty(f.data.size)
+    np.abs(f.data, out=vals.reshape(f.data.shape))
+    np.negative(vals, out=vals)
+    vals.sort()
+    np.negative(vals, out=vals)
     return RearrangementProfile(values=vals, cell_measure=f.cell_measure, total_measure=f.total_measure)
 
 
@@ -304,14 +299,12 @@ def _cube_sweep(f: GridField, stat, rounding: float) -> GridField:
     return GridField(_spread(acc, n), f.domain)
 
 
-def _trimmed_oscillation(blocks: np.ndarray, lam: float) -> np.ndarray:
-    """Half-length of the shortest interval containing ceil((1-lam) m) of a
-    block's m samples; sorts blocks in place."""
+def _trimmed_oscillation(blocks: np.ndarray) -> np.ndarray:
+    """Half-length of the shortest interval containing ceil((1 - _LAMBDA) m)
+    of a block's m >= 16 samples, so 4 or more are trimmed; sorts in place."""
     blocks.sort(axis=-1)
     m = blocks.shape[-1]
-    keep = m - int(np.floor(lam * m))
-    if keep >= m:
-        return 0.5 * (blocks[..., -1] - blocks[..., 0])
+    keep = m - int(np.floor(_LAMBDA * m))
     window = blocks[..., keep - 1:] - blocks[..., : m - keep + 1]
     return 0.5 * np.min(window, axis=-1)
 
@@ -322,18 +315,17 @@ def _mean_oscillation(blocks: np.ndarray) -> np.ndarray:
     return np.abs(blocks, out=blocks).mean(axis=-1)
 
 
-def sharp_maximal(f: GridField, lam: float = _LAMBDA) -> GridField:
+def sharp_maximal(f: GridField) -> GridField:
     """Local-oscillation maximal function: for each dyadic cube Q of side at
-    least _MIN_SIDE = 4 cells and x in Q,
-    the best-constant trimmed oscillation inf_c ((f-c) chi_Q)*(lam |Q|),
-    maximized over all cubes containing x; the norms take lam = _LAMBDA.
+    least _MIN_SIDE = 4 cells and x in Q, the best-constant trimmed
+    oscillation inf_c ((f-c) chi_Q)*(lam |Q|) at lam = _LAMBDA = 1/4,
+    maximized over all cubes containing x.  Every lam in (0, 1/2] gives an
+    equivalent norm (Jawerth-Torchinsky), so the fraction is fixed.
 
     On samples the inner infimum is half the length of the shortest interval
     containing ceil((1-lam) m) of the cube's m sorted samples.
     """
-    if not (0.0 < lam <= 0.5):
-        raise InvalidLambda(f"lambda must lie in (0, 1/2], got {lam}")
-    return _cube_sweep(f, lambda b: _trimmed_oscillation(b, lam), 0.0)
+    return _cube_sweep(f, _trimmed_oscillation, 0.0)
 
 
 def fefferman_stein_sharp(f: GridField) -> GridField:
@@ -374,10 +366,9 @@ _DOMAINS_BY_TAG = {d.tag: d for d in Domain}
 
 
 def write_field_binary(f: GridField, path) -> None:
-    """16-byte header (magic, u32 n, u32 domain tag, u32 flags) then
-    row-major little-endian float64 samples."""
-    flags = 1 if f.mean_removed else 0
-    header = _MAGIC + struct.pack("<III", f.n, f.domain.tag, flags)
+    """16-byte header (magic, u32 n, u32 domain tag, u32 0: a retired flag
+    word, ignored on read) then row-major little-endian float64 samples."""
+    header = _MAGIC + struct.pack("<III", f.n, f.domain.tag, 0)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(f.data.astype("<f8").tobytes())
@@ -391,7 +382,7 @@ def read_field_binary(path) -> GridField:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != _MAGIC:
             raise InvalidFieldFile("not a field file (bad magic)")
-        n, tag, flags = struct.unpack("<III", header[4:])
+        n, tag, _ = struct.unpack("<III", header[4:])
         if not _is_grid_size(n):
             raise InvalidFieldFile(f"grid size must be a power of two, at least 4, got {n}")
         if tag not in _DOMAINS_BY_TAG:
@@ -400,4 +391,4 @@ def read_field_binary(path) -> GridField:
     if len(payload) != 8 * n * n:
         raise InvalidFieldFile(f"payload has {len(payload)} bytes, expected 8 n^2 = {8 * n * n} for n = {n}")
     data = np.frombuffer(payload, dtype="<f8").reshape(n, n).copy()
-    return GridField(data, _DOMAINS_BY_TAG[tag], mean_removed=bool(flags & 1))
+    return GridField(data, _DOMAINS_BY_TAG[tag])

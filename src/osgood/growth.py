@@ -604,11 +604,10 @@ def osgood_from_growth(
     g: GrowthFunction,
     orientation: OsgoodOrientation = OsgoodOrientation.ZERO_END,
     lift: bool = False,
-    epsilon_L: float = 0.5,
 ) -> OsgoodSpec:
-    """Build the modulus induced by a growth: L(r) = r * y(1/r) toward zero,
-    or y itself on (1, inf) for the infinity-end test.  lift=True replaces
-    the growth by p * Theta(p) first.
+    """Build the modulus induced by a growth: L(r) = r * y(1/r) on (0, 1/2),
+    whose Osgood verdict does not depend on that end, or y itself on (1, inf)
+    for the infinity-end test.  lift=True replaces Theta by p * Theta(p) first.
     """
     gg = theta1(g) if lift else g
     if orientation is OsgoodOrientation.ZERO_END:
@@ -618,4 +617,4 @@ def osgood_from_growth(
     else:
         def modulus(r):
             return yudovich(gg, r)
-    return OsgoodSpec(modulus=modulus, epsilon_L=epsilon_L, orientation=orientation)
+    return OsgoodSpec(modulus=modulus, epsilon_L=0.5, orientation=orientation)

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySequence, InvalidField, NonPositiveArgument
+from .errors import EmptySequence, InvalidExponent, InvalidField, NonPositiveArgument
 from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _require_positive, _with_p0, yudovich
+from .growth import GrowthFunction, _legendre, _require_positive, _with_p0, yudovich
 
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
@@ -24,6 +24,7 @@ _ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
 _TIES = 64  # extreme samples per side the modulus's oscillation shortcut pairs
 _T_GRID = np.geomspace(1e-6, 1e3, 64)  # the K curves' t samples unless a caller gives its own
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
+_LOG_R_MAX = 708.0  # extrapolation_sup forms r = s^(-p0) only for |log r| below it
 
 
 @dataclass(frozen=True)
@@ -249,11 +250,12 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t):
     """Exact K for weighted little-l1 direct sums:
     sum_j min(2^(j s0), t 2^(j s1)) ||f_j||; a float for scalar t, an array
     shaped like t otherwise.  Each t must be >= 0 (t = inf is the L^s0 end);
-    a nan or negative t raises NonPositiveArgument."""
+    a nan or negative t raises NonPositiveArgument, and exponents other than
+    finite s0 < s1 raise InvalidExponent."""
     if not seq.entries:
         raise EmptySequence("band sequence has no entries")
-    if not s0 < s1:
-        raise ValueError("need s0 < s1")
+    if not -np.inf < s0 < s1 < np.inf:
+        raise InvalidExponent(f"need finite s0 < s1, got s0 = {s0}, s1 = {s1}")
     js, norms = seq.js, seq.norms
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
@@ -272,10 +274,21 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
 
     The Yudovich function is taken with the pair's index p0 (the growth is
     re-indexed if needed); otherwise the large-s plateau picks up a spurious
-    power of s.
+    power of s.  r = s^(-p0) is formed only for |log r| < _LOG_R_MAX = 708;
+    past it y is Theta(p0) / s for r < 1, or the Legendre transform of
+    log r = -p0 log s, so no p0 overflows.  Samples must be finite and > 0.
     """
     s = curve.t_samples
-    return _sup_finite_ratio(curve.k_values, s * yudovich(_with_p0(g, p0), s ** (-p0)))
+    if not np.all((s > 0.0) & (s < np.inf)):
+        raise NonPositiveArgument("K samples must be finite and > 0")
+    gp = _with_p0(g, p0)
+    log_r = -p0 * np.log(s)
+    inside, big = np.abs(log_r) < _LOG_R_MAX, log_r >= _LOG_R_MAX
+    y = gp(p0) / s
+    y[inside] = yudovich(gp, s[inside] ** (-p0))
+    if big.any():
+        y[big] = np.exp(_legendre(gp, log_r[big])[0])
+    return _sup_finite_ratio(curve.k_values, s * y)
 
 
 def _sup_finite_ratio(num, den) -> float:

@@ -36,7 +36,6 @@ class NormReport:
     char_rearr: float
     char_rearr_star: float
     char_small_t: float
-    resolution: int
     params: dict
 
     @property
@@ -78,8 +77,7 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     return NormReport(
         space="yudovich", direct_value=direct, char_k=char_k,
         char_rearr=char_rearr, char_rearr_star=char_rearr_star,
-        char_small_t=char_small, resolution=f.n,
-        params={"growth": g.name, "p0": p0},
+        char_small_t=char_small, params={"growth": g.name, "p0": p0},
     )
 
 
@@ -99,7 +97,7 @@ def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0) -> Nor
     return NormReport(
         space="sharp_yudovich", direct_value=direct, char_k=char_k,
         char_rearr=char_rearr, char_rearr_star=char_rearr, char_small_t=char_rearr,
-        resolution=f.n, params={"growth": g.name, "p0": p0, "lambda": _LAMBDA},
+        params={"growth": g.name, "p0": p0, "lambda": _LAMBDA},
     )
 
 

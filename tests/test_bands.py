@@ -104,6 +104,14 @@ class TestDecompose:
         err = np.abs(d.reconstruct() - f.data).max()
         assert err < 1e-9 * np.abs(f.data).max()
 
+    def test_band_sups_are_taken_once(self):
+        # decompose stores max |band| per band; band_norms returns that record
+        for f in (band_limited_field(64), torus_field(np.zeros((16, 16)))):
+            d = decompose(f, warn_nyquist=False)
+            assert d.band_norms() is d.sups
+            assert d.sups.entries == tuple((j, float(np.abs(b.data).max())) for j, b in d.bands)
+            assert not np.signbit(d.sups.norms).any()
+
     def test_almost_orthogonality(self):
         f = torus_field(rng.standard_normal((128, 128)))
         d = decompose(f, warn_nyquist=False)

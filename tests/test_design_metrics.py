@@ -76,13 +76,35 @@ def main():
 BENCH = 'TRACED = ("traced", "positional", "keyword_only", "Holder", "quiet", "main")\n'
 
 
-@pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    """(rows by module as {column: value}, the test-only line)."""
-    root = tmp_path_factory.mktemp("repo")
+# 2 + 1 defaulted dataclass fields; Plain is not a dataclass and x has no default
+RECORDS = '''\
+import dataclasses
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    y: float = 0.0
+    tags: dict = field(default_factory=dict)
+
+
+@dataclasses.dataclass
+class Flag:
+    on: bool = False
+
+
+class Plain:
+    level: int = 3
+'''
+
+
+def run_tool(root, modules):
+    """(rows by module as {column: value}, the test-only line) for a package
+    of these modules under root/src/pkg."""
     package = root / "src" / "pkg"
     package.mkdir(parents=True)
-    for name, text in MODULES.items():
+    for name, text in modules.items():
         (package / name).write_text(text)
     (root / "perfbench").mkdir()
     (root / "perfbench" / "bench.py").write_text(BENCH)
@@ -97,6 +119,11 @@ def report(tmp_path_factory):
     assert header.split() == ["module", *tool.COLUMNS]
     table = {r.split()[0]: dict(zip(tool.COLUMNS, map(int, r.split()[1:]))) for r in rows}
     return table, test_only.strip()
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    return run_tool(tmp_path_factory.mktemp("repo"), MODULES)
 
 
 def column(table, name):
@@ -137,3 +164,8 @@ def test_test_only_names_are_reached_from_nowhere_else(report):
         "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 1, "opts.py": 0, "total": 1,
     }
     assert test_only == "test-only names: names.orphan"
+
+
+def test_options_count_defaulted_dataclass_fields(tmp_path):
+    table, _ = run_tool(tmp_path, {"__init__.py": "", "records.py": RECORDS})
+    assert column(table, "options") == {"__init__.py": 0, "records.py": 3, "total": 3}

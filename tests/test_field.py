@@ -9,7 +9,6 @@ from osgood.errors import (
     InvalidExponent,
     InvalidField,
     InvalidFieldFile,
-    InvalidLambda,
     NonPositiveArgument,
     OsgoodError,
 )
@@ -154,6 +153,25 @@ class TestRearrange:
         p = float(np.floor(np.log(np.finfo(float).max) / np.log(v[0])))
         assert prof.power_integral(0.5 * prof.cell_measure, p) == 0.5 * prof.cell_measure * v[0] ** p
 
+    def test_power_integral_whose_prefix_sum_passes_the_float_range(self):
+        # on a constant 3.0 field 3^646 is finite but 256 cells of it are not:
+        # the cumsum warned "overflow encountered in accumulate" on every request
+        prof = rearrange(GridField(np.full((16, 16), 3.0)))
+        assert prof.power_integral(0.1, 646.0) == 0.1 * 3.0 ** 646
+        cell, top = prof.cell_measure, 3.0 ** 646
+        assert prof.power_integral(1.5 * cell, 646.0) == top * cell + (1.5 * cell - cell) * top
+        with pytest.raises(InvalidExponent, match="float range"):
+            prof.power_integral(prof.total_measure, 646.0)
+        with pytest.raises(InvalidExponent, match="float range"):
+            prof.power_integral(np.array([0.1, prof.total_measure]), 646.0)
+
+    def test_profile_is_contiguous_and_sorted(self):
+        for data in (rng.standard_normal((16, 16)), rng.standard_normal((16, 16)).T, np.zeros((8, 8))):
+            v = rearrange(GridField(data)).values
+            assert v.flags.c_contiguous
+            assert np.array_equal(v, np.sort(np.abs(data), axis=None)[::-1])
+            assert not np.signbit(v).any()
+
     @pytest.mark.parametrize("p", [np.nan, -1.0, 0.0, np.inf], ids=str)
     def test_power_integral_needs_a_finite_positive_exponent(self, p):
         prof = rearrange(GridField(rng.standard_normal((16, 16))))
@@ -245,12 +263,13 @@ def cube_shifts(n, side):
     return [(0, 0), (h, 0), (0, h), (h, h)]
 
 
-def brute_sharp(f, lam):
+def brute_sharp(f):
+    """The trimmed oscillation at lambda = 1/4 by a scan over centres."""
     n = f.n
     out = np.zeros((n, n))
     for side in cube_levels(n):
         m = side * side
-        keep = m - int(np.floor(lam * m))
+        keep = m - m // 4
         for shift in cube_shifts(n, side):
             for bi in range(n // side):
                 for bj in range(n // side):
@@ -288,7 +307,7 @@ def brute_fs(f):
 
 class TestSharpMaximal:
     def test_constant_is_zero(self):
-        sm = sharp_maximal(unit_field(np.full((16, 16), 4.0)), 0.25)
+        sm = sharp_maximal(unit_field(np.full((16, 16), 4.0)))
         assert np.all(sm.data == 0.0)
 
     def test_default_is_the_norms_field(self):
@@ -296,38 +315,26 @@ class TestSharpMaximal:
             f = GridField(rng.standard_normal((16, 16)), domain)
             sm = sharp_maximal(f)
             assert isinstance(sm, GridField) and sm.domain is f.domain
-            assert np.array_equal(sm.data, sharp_maximal(f, 0.25).data)
-
-    def test_invalid_lambda(self):
-        f = unit_field(np.ones((8, 8)))
-        for lam in (0.0, -1.0, 0.75):
-            with pytest.raises(InvalidLambda):
-                sharp_maximal(f, lam)
+            assert np.array_equal(sm.data, scatter_cube_sweep(f, trimmed_oscillation))
 
     def test_half_torus_step_matches_brute_force(self):
         n = 16
         data = np.zeros((n, n))
         data[: n // 2, :] = 1.0
         f = unit_field(data)
-        sm = sharp_maximal(f, 0.25)
-        assert np.allclose(sm.data, brute_sharp(f, 0.25))
+        sm = sharp_maximal(f)
+        assert np.allclose(sm.data, brute_sharp(f))
         # any cube meeting the interface is half ones, half zeros: value 1/2
         assert sm.data.max() == pytest.approx(0.5)
 
     def test_random_field_matches_brute_force(self):
         f = unit_field(rng.standard_normal((8, 8)))
-        sm = sharp_maximal(f, 0.5)
-        assert np.allclose(sm.data, brute_sharp(f, 0.5), atol=1e-12)
-
-    def test_monotone_in_lambda(self):
-        f = unit_field(rng.standard_normal((32, 32)))
-        hi = sharp_maximal(f, 0.125).data
-        lo = sharp_maximal(f, 0.5).data
-        assert np.all(hi >= lo - 1e-14)
+        sm = sharp_maximal(f)
+        assert np.allclose(sm.data, brute_sharp(f), atol=1e-12)
 
     def test_bounded_by_oscillation(self):
         f = unit_field(rng.standard_normal((32, 32)))
-        sm = sharp_maximal(f, 0.25).data
+        sm = sharp_maximal(f).data
         osc = f.data.max() - f.data.min()
         assert sm.max() <= 0.5 * osc + 1e-12
         assert sm.max() <= 2.0 * np.abs(f.data).max()
@@ -337,7 +344,7 @@ class TestSharpMaximal:
         # within a (-log t) band, stable across resolution
         cs = []
         for n in (256, 512):
-            sm = sharp_maximal(log_power_field(n, alpha=1.0), 0.25)
+            sm = sharp_maximal(log_power_field(n, alpha=1.0))
             prof = rearrange(sm)
             ts = np.geomspace(1e-5, 1e-1, 30)
             cs.append((prof.double_star(ts) / np.log(1.0 / ts)).max())
@@ -375,7 +382,7 @@ class TestFeffermanStein:
         ts = np.geomspace(1e-3, 1e-1, 16)
         for f in fields:
             fs_prof = rearrange(fefferman_stein_sharp(f))
-            sm_prof = rearrange(sharp_maximal(f, 0.25))
+            sm_prof = rearrange(sharp_maximal(f))
             ratios = fs_prof.star(ts) / np.maximum(sm_prof.double_star(ts), 1e-300)
             assert ratios.max() < 16.0
             assert ratios.min() > 1.0 / 16.0
@@ -430,10 +437,16 @@ class TestIO:
         assert path.stat().st_size == 16 + 8 * 32 * 32
 
     def test_binary_mean_flag(self, tmp_path):
-        f = GridField(rng.standard_normal((8, 8)), Domain.UNIT_TORUS).remove_mean()
+        # the fourth header word, once a mean-free flag, is written as 0 and
+        # ignored on read, so a file written with the flag set still loads
+        f = GridField(rng.standard_normal((8, 8)), Domain.UNIT_TORUS)
         path = tmp_path / "m.osgf"
         write_field_binary(f, path)
-        assert read_field_binary(path).mean_removed
+        header = path.read_bytes()[:16]
+        assert struct.unpack("<III", header[4:]) == (8, 1, 0)
+        path.write_bytes(header[:12] + struct.pack("<I", 1) + path.read_bytes()[16:])
+        g = read_field_binary(path)
+        assert g.domain is Domain.UNIT_TORUS and np.array_equal(g.data, f.data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.osgf"
@@ -475,10 +488,6 @@ class TestDomainConversion:
         assert np.array_equal(f.data, g.data)
         assert lp_norm(g, 2.0) == pytest.approx(lp_norm(f, 2.0) / (2 * np.pi), rel=1e-12)
 
-    def test_mean_removed_flag_validated(self):
-        with pytest.raises(ValueError):
-            GridField(np.ones((8, 8)), Domain.UNIT_TORUS, mean_removed=True)
-
 
 @pytest.mark.parametrize("data", [np.ones((8, 4)), np.ones(8), np.ones((6, 6)), np.full((4, 4), np.nan)],
                          ids=["not_square", "1d", "n_6", "nan"])
@@ -513,12 +522,11 @@ def block_view(data, side):
     return data.reshape(b, side, b, side).transpose(0, 2, 1, 3).reshape(b, b, side * side)
 
 
-def trimmed_oscillation(blocks, lam):
+def trimmed_oscillation(blocks):
+    """At lambda = 1/4: a cube's m >= 16 samples always lose m // 4 of them."""
     s = np.sort(blocks, axis=-1)
     m = s.shape[-1]
-    keep = m - int(np.floor(lam * m))
-    if keep >= m:
-        return 0.5 * (s[..., -1] - s[..., 0])
+    keep = m - m // 4
     return 0.5 * np.min(s[..., keep - 1:] - s[..., : m - keep + 1], axis=-1)
 
 
@@ -550,7 +558,6 @@ def unpruned_bmo(f):
 GATE_NS = (8, 16, 32, 64, 128, 256, 512)
 GATE_SCALES = (1e-3, 1.0, 30.0)
 GATE_PS = sorted({*default_p_grid(1.0), *default_p_grid(4.0), 1.0, 2.0, 512.0, 1e4})
-GATE_LAMS = (0.01, 0.25, 0.5)
 
 
 def gate_field(n, scale):
@@ -591,9 +598,8 @@ class TestExactnessGate:
         modes = np.add.outer(np.cos(2 * np.pi * x), 0.5 * np.cos(2 * np.pi * x + 1.0))
         for data in [gate_field(n, scale).data for scale in GATE_SCALES] + [modes] + edge_fields(n):
             fields = [GridField(data, domain) for domain in Domain]
-            for lam in GATE_LAMS:
-                ref = scatter_cube_sweep(fields[0], lambda b: trimmed_oscillation(b, lam))
-                assert all(np.array_equal(sharp_maximal(f, lam).data, ref) for f in fields)
+            ref = scatter_cube_sweep(fields[0], trimmed_oscillation)
+            assert all(np.array_equal(sharp_maximal(f).data, ref) for f in fields)
             ref = scatter_cube_sweep(fields[0], mean_oscillation)
             assert all(np.array_equal(fefferman_stein_sharp(f).data, ref) for f in fields)
             assert unpruned_bmo(fields[0]) == ref.max()
@@ -606,7 +612,7 @@ def test_report_direct_values_match_full_sums(n):
     g = GrowthFunction.power(0.5)
     for scale in GATE_SCALES:
         f = gate_field(n, scale)
-        sm = unit_field(scatter_cube_sweep(f, lambda b: trimmed_oscillation(b, 0.25)))
+        sm = unit_field(scatter_cube_sweep(f, trimmed_oscillation))
         for rep, base, p0 in ((yudovich_norm(f, g), f, 1.0), (sharp_yudovich_norm(f, g), sm, 4.0)):
             ref = max(full_sum_lp(base, p) / g(p) for p in default_p_grid(p0))
             assert rep.direct_value == pytest.approx(ref, rel=1e-15, abs=0.0)

@@ -580,16 +580,19 @@ class TestOsgood:
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
     def test_zero_end_needs_finite_positive_epsilon(self, eps):
-        with pytest.raises(NonPositiveArgument, match="epsilon_L"):
-            osgood_test(osgood_from_growth(LINEAR, epsilon_L=eps))
-        with pytest.raises(NonPositiveArgument, match="epsilon_L"):
-            osgood_test(OsgoodSpec(modulus=np.sqrt, epsilon_L=eps))
+        # a growth's own modulus under a user's epsilon_L, and a plain one
+        for modulus in (osgood_from_growth(LINEAR).modulus, np.sqrt):
+            with pytest.raises(NonPositiveArgument, match="epsilon_L"):
+                osgood_test(OsgoodSpec(modulus=modulus, epsilon_L=eps))
 
     def test_zero_end_epsilon_whose_samples_underflow(self):
         # 5e-324 * 1e-8 is 0, and numpy's geomspace once raised "Geometric
         # sequence cannot include zero" from the modulus check
         with pytest.raises(NonPositiveArgument, match="epsilon_L"):
-            osgood_test(osgood_from_growth(LINEAR, epsilon_L=5e-324))
+            osgood_test(OsgoodSpec(modulus=osgood_from_growth(LINEAR).modulus, epsilon_L=5e-324))
+
+    def test_growth_modulus_starts_at_one_half(self):
+        assert osgood_from_growth(LINEAR).epsilon_L == 0.5
 
     def test_zero_end_stops_before_underflow(self):
         # no early exit: the march runs until e^x would underflow, log 1e-30
@@ -763,8 +766,9 @@ class TestOneMarchGate:
     @pytest.mark.parametrize("g", GATE_GROWTHS, ids=lambda g: f"{g.name}@{g.p0:g}")
     @pytest.mark.parametrize("lift", [False, True])
     def test_growth_specs(self, g, lift):
+        spec = osgood_from_growth(g, OsgoodOrientation.ZERO_END, lift)
         for eps in (0.5, 0.9):
-            _assert_same_march(osgood_from_growth(g, OsgoodOrientation.ZERO_END, lift, eps))
+            _assert_same_march(replace(spec, epsilon_L=eps))
         _assert_same_march(osgood_from_growth(g, OsgoodOrientation.INFINITY_END, lift))
 
     @pytest.mark.parametrize("i", range(len(USER_SPECS)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import osgood
 
-from osgood.errors import EmptySequence, InvalidField, NonPositiveArgument
+from osgood.errors import EmptySequence, InvalidExponent, InvalidField, NonPositiveArgument
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction, theta1, yudovich
 from osgood.kfunc import (
@@ -144,7 +144,7 @@ class TestKLpBmo:
         f = unit_field(data)
         p0 = 2.0
         curve = k_lp_bmo(f, p0, np.geomspace(1e-2, 100.0, 40))
-        plateau = lp_norm(sharp_maximal(f, 0.25), p0)
+        plateau = lp_norm(sharp_maximal(f), p0)
         assert curve.k_values[-1] == pytest.approx(plateau, rel=1e-12)
 
     def test_bmo_prototype_slope_bounded(self):
@@ -152,7 +152,7 @@ class TestKLpBmo:
         f = log_power_field(128, alpha=0.0)
         curve = k_lp_bmo(f, 2.0, np.geomspace(1e-6, 1.0, 40))
         slopes = curve.k_values / curve.t_samples
-        cap = sharp_maximal(f, 0.25).data.max()
+        cap = sharp_maximal(f).data.max()
         assert slopes[0] == pytest.approx(cap, rel=1e-9)
         assert np.all(slopes <= cap * (1 + 1e-12))
 
@@ -417,8 +417,17 @@ class TestKSeq:
             for t in (0.1, 1.0, 4.0):
                 direct = np.sum(np.minimum(1.0, 2.0 ** (js * kappa) * t) * 2.0 ** (js * (beta - kappa)) * norms)
                 assert k_seq(seq, beta - kappa, beta, t) == pytest.approx(direct, rel=1e-14)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidExponent):
             k_seq(seq, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("s0, s1", [(1.0, 0.0), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)],
+                             ids=["s0_above_s1", "s0_nan", "s1_nan", "s0_minus_inf", "s1_inf"])
+    def test_exponents_other_than_finite_s0_below_s1_rejected(self, s0, s1):
+        # s0 > s1 and nan raised a bare ValueError, and an infinite end warned
+        # "invalid value" on its way to a nan
+        seq = BandSequence(((0, 1.0), (1, 0.5)))
+        with pytest.raises(InvalidExponent, match="finite s0 < s1"):
+            k_seq(seq, s0, s1, 1.0)
 
     @pytest.mark.parametrize("t", [np.nan, -1.0, -np.inf, [0.5, np.nan], [1.0, -1e-300]])
     def test_t_nan_or_negative_rejected(self, t):
@@ -534,3 +543,23 @@ class TestExtrapolationSup:
         quad_vals, lin_vals = np.asarray(quad_vals), np.asarray(lin_vals)
         assert quad_vals[2] / quad_vals[0] < 1.05
         assert np.all(lin_vals[1:] / lin_vals[:-1] > 1.08)
+
+    @pytest.mark.parametrize("p0", [52.0, 60.0, 120.0])
+    def test_large_index_matches_a_log_space_reference(self, p0):
+        # r = s^(-p0) passes the float range on the default grid once p0 >
+        # 51.4 (s = 1e-6) and underflows past p0 = 102 (s = 1e3); y is then
+        # read from log r, here against min over a dense p grid in logs
+        g = GrowthFunction.power(1.0, shift=1.0)
+        curve = k_lp_linf(torus_field(rng.standard_normal((16, 16))), p0)
+        s = curve.t_samples
+        assert np.abs(p0 * np.log(s)).max() > 709.8
+        ps = p0 * np.geomspace(1.0, 1e6, 20001)
+        log_y = np.min(np.log(g(ps)) + np.outer(-p0 * np.log(s), 1.0 / ps), axis=1)
+        ref = np.max(curve.k_values / (s * np.exp(log_y)))
+        assert extrapolation_sup(curve, g, p0) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("t", [0.0, np.inf])
+    def test_samples_must_be_finite_and_positive(self, t):
+        curve = KCurve(pair="seq", t_samples=np.array([t, 1.0]), k_values=np.ones(2))
+        with pytest.raises(NonPositiveArgument, match="finite and > 0"):
+            extrapolation_sup(curve, CONST, 2.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -195,6 +197,20 @@ def test_direct_value_matches_the_scalar_loop(g):
                            (sharp_yudovich_norm, rearrange(sharp_maximal(f)), 4.0)):
         ref = max(prof.lp(float(p)) / float(g(float(p))) for p in default_p_grid(p0))
         assert norm(f, g, p0=p0).direct_value == ref
+
+
+@pytest.mark.parametrize("p0", [60.0, 120.0])
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+def test_reports_at_a_large_index(p0, domain):
+    # the K form's s^(-p0) overflowed past p0 = 51.4 ("overflow encountered in
+    # power", or NonPositiveArgument without the warning filter)
+    f = GridField(np.random.default_rng(106).standard_normal((16, 16)), domain)
+    g = GrowthFunction.power(1.0, shift=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (yudovich_norm, sharp_yudovich_norm):
+            forms = every_form(norm(f, g, p0=p0))
+            assert all(np.isfinite(v) and v > 0.0 for v in forms)
 
 
 FORMS = ("direct_value", "char_k", "char_rearr", "char_rearr_star", "char_small_t")

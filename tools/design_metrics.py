@@ -8,7 +8,9 @@ its test-only names, then the totals, and under the table the test-only
 names themselves.
 
 - A settable option is a parameter with a default value in a `def`,
-  nested ones included (a lambda's defaults are not counted).
+  nested ones included (a lambda's defaults are not counted), or a field
+  with a default in a `@dataclass` class body: an annotated assignment
+  with a value, `field(default_factory=...)` included.
 - A public top-level name is a module-level function, class or assigned
   name that does not start with an underscore.
 - An errstate block is a `with` statement one of whose items calls an
@@ -29,13 +31,23 @@ DEFAULT_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "osgood"
 COLUMNS = ("lines", "options", "public", "errstate", "test-only")
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """The class is decorated with `dataclass`, `dataclasses.dataclass` or a
+    call of either."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(t, "attr", getattr(t, "id", None)) == "dataclass" for t in targets)
+
+
 def settable_options(tree: ast.AST) -> int:
-    """Parameters with a default, over every def in the tree."""
+    """Parameters with a default, over every def in the tree, and fields
+    with a default, over every dataclass."""
     count = 0
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
     return count
 
 
