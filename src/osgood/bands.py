@@ -25,33 +25,35 @@ _ALPHA_POINTS = 32  # the intermediate exponents of the equivalence report's alp
 
 
 def _smooth_step(x: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for x <= 0, 1 for x >= 1."""
+    """C-infinity ramp: 0 for x <= 0, 1 for x >= 1.  exp(-1 / max(., 1e-300))
+    can only underflow, which numpy does not report, never a and b at once."""
     x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
+    a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+    b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
     return a / (a + b)
 
 
 def _raw_bump(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
+    rho = np.minimum(np.asarray(rho, dtype=float), _SUPP_HI)  # 0 from there on; no ramp overflows
     up = _smooth_step((rho - _SUPP_LO) / (_PLATEAU_LO - _SUPP_LO))
     down = 1.0 - _smooth_step((rho - _PLATEAU_HI) / (_SUPP_HI - _PLATEAU_HI))
     return up * down
 
 
 def band_profile(rho) -> np.ndarray:
-    """Normalized radial cutoff: dilates sum to 1 for every rho > 0."""
+    """Normalized radial cutoff: dilates sum to 1 for every finite rho > 0,
+    and 0 at rho = inf.  np.ldexp scales by 2^-j exactly, never forming an
+    overflowing or underflowed 2^j."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     out = np.zeros_like(rho)
-    pos = rho > 0
+    pos = (rho > 0) & (rho < np.inf)
     if pos.any():
         r = rho[pos]
         total = np.zeros_like(r)
         # only dilates within a factor 7/3 can overlap: +-2 around log2(rho)
         j0 = np.floor(np.log2(r)).astype(int)
         for dj in range(-2, 3):
-            total += _raw_bump(r / 2.0 ** (j0 + dj))
+            total += _raw_bump(np.ldexp(r, -(j0 + dj)))
         out[pos] = _raw_bump(r) / total
     return out
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import spaces
 from .bands import besov_norm, decompose, vishik_norm
-from .errors import InvalidExponent, NonPositiveArgument, NonZeroMean
+from .errors import InvalidArgument, InvalidExponent, NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid
-from .growth import GrowthFunction, theta1, yudovich
+from .growth import _R_MIN, GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -91,13 +91,16 @@ class ModulusEnvelope:
 
 
 def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float, lift: bool = True) -> np.ndarray:
-    """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p); each
-    h must be finite and > 0, else NonPositiveArgument."""
+    """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p).
+    NonPositiveArgument unless norm_reference is finite and >= 0 and each h
+    is finite and > 2^-1024, the least h whose 1/h is finite."""
+    if not (math.isfinite(norm_reference) and norm_reference >= 0.0):
+        raise NonPositiveArgument(f"norm_reference must be finite and >= 0, got {norm_reference}")
     gg = theta1(g) if lift else g
     hs = np.asarray(h_samples, dtype=float)
-    ok = np.isfinite(hs) & (hs > 0.0)
+    ok = (hs > _R_MIN) & (hs < np.inf)
     if not ok.all():
-        raise NonPositiveArgument(f"h must be finite and > 0, got {hs[~ok][0]}")
+        raise NonPositiveArgument(f"h must be finite and > 0, with 1/h finite, got {hs[~ok][0]}")
     return hs * yudovich(gg, 1.0 / hs) * norm_reference
 
 
@@ -124,7 +127,7 @@ def modulus_envelope(
         d = decompose(omega, warn_nyquist=False)
         norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
     else:
-        raise ValueError(f"unknown norm choice {norm_choice!r}")
+        raise InvalidArgument(f"unknown norm choice {norm_choice!r}")
     if velocity is None:
         velocity = biot_savart(omega, beta)
     v1, v2 = velocity

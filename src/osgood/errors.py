@@ -41,5 +41,11 @@ class InvalidField(OsgoodError, ValueError):
     """Field samples that are not a square power-of-two grid of finite values."""
 
 
+class InvalidArgument(OsgoodError, ValueError):
+    """An argument outside what its entry accepts that no narrower type names:
+    a malformed growth table, an r grid empty or not above e^(2 p0), band
+    norms negative or out of order, an unknown norm choice."""
+
+
 class AliasRisk(UserWarning):
     """Top frequency band touches the Nyquist annulus."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
+    InvalidArgument,
     InvalidModulus,
     NonPositiveArgument,
     SearchDivergence,
@@ -44,6 +45,7 @@ _DOUBLING_P_HI, _DOUBLING_SAMPLES, _DOUBLING_CAP = 4096.0, 64, 1e6
 _QD_P_HI, _SLACK = 2048.0, 1.05
 _TAIL_TERMS, _HEADS = 4000, 64
 _NEIGHBOURS = np.array([[-1], [0], [1]])  # a hull vertex and its two neighbours
+_R_MIN = 2.0 ** -1024  # 1/r is finite exactly for r > _R_MIN = 1/float max, rounded
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -207,11 +209,11 @@ class GrowthFunction:
         pv = np.asarray(p_values, dtype=float)
         tv = np.asarray(theta_values, dtype=float)
         if pv.ndim != 1 or pv.shape != tv.shape or len(pv) < 2:
-            raise ValueError("table needs two equal-length 1-d columns")
+            raise InvalidArgument("table needs two equal-length 1-d columns")
         if np.any(np.diff(pv) <= 0):
-            raise ValueError("table p column must be strictly increasing")
+            raise InvalidArgument("table p column must be strictly increasing")
         if np.any(tv <= 0):
-            raise ValueError("table values must be positive")
+            raise InvalidArgument("table values must be positive")
         lp, lt = np.log(pv), np.log(tv)
 
         def log_fn(p):
@@ -385,11 +387,11 @@ def lemma1_ratio_scan(g: GrowthFunction, r_grid: Sequence[float]) -> dict:
     """
     r_grid = np.asarray(list(r_grid), dtype=float)
     if not r_grid.size:
-        raise ValueError("r_grid must not be empty")
+        raise InvalidArgument("r_grid must not be empty")
     check_hyp_quasi_decreasing(g)
     floor = math.exp(2.0 * g.p0)
     if np.any(r_grid <= floor):
-        raise ValueError(f"all r must exceed e^(2 p0) = {floor:g}")
+        raise InvalidArgument(f"all r must exceed e^(2 p0) = {floor:g}")
     ratios = yudovich(g, r_grid) / g(np.log(r_grid))
     c1, c2 = float(ratios.min()), float(ratios.max())
     return {"r": r_grid, "ratios": ratios, "band": (c1, c2), "band_width": c2 / c1}
@@ -493,8 +495,10 @@ class OsgoodSpec:
     def validate(self) -> None:
         if self.orientation is OsgoodOrientation.ZERO_END:
             _require_positive("epsilon_L", self.epsilon_L)
-            if not self.epsilon_L * 1e-8 > 0.0:
-                raise NonPositiveArgument(f"1e-8 epsilon_L underflows to 0 at epsilon_L = {self.epsilon_L}")
+            if not self.epsilon_L * 1e-8 > _R_MIN:
+                # a growth's modulus forms 1/r at each sample
+                raise NonPositiveArgument(
+                    f"1e-8 epsilon_L must exceed 2^-1024, where 1/r is finite, got epsilon_L = {self.epsilon_L}")
             rs = np.geomspace(self.epsilon_L * 1e-8, self.epsilon_L, 64)
         else:
             rs = np.geomspace(1.0, 1e8, 64)

@@ -14,17 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySequence, InvalidExponent, InvalidField, NonPositiveArgument
+from .errors import EmptySequence, InvalidArgument, InvalidExponent, InvalidField, NonPositiveArgument
 from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _legendre, _require_positive, _with_p0, yudovich
+from .growth import GrowthFunction, _legendre, _require_positive, _with_p0
 
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
 _ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
-_TIES = 64  # extreme samples per side the modulus's oscillation shortcut pairs
 _T_GRID = np.geomspace(1e-6, 1e3, 64)  # the K curves' t samples unless a caller gives its own
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
-_LOG_R_MAX = 708.0  # extrapolation_sup forms r = s^(-p0) only for |log r| below it
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,10 @@ class BandSequence:
     def __post_init__(self):
         ent = tuple((int(j), float(v)) for j, v in self.entries)
         if any(v < 0 for _, v in ent):
-            raise ValueError("band norms must be nonnegative")
+            raise InvalidArgument("band norms must be nonnegative")
         js = [j for j, _ in ent]
         if any(b <= a for a, b in zip(js, js[1:])):
-            raise ValueError("band indices must be strictly increasing")
+            raise InvalidArgument("band indices must be strictly increasing")
         object.__setattr__(self, "entries", ent)
 
     @property
@@ -132,16 +130,6 @@ def _chords(h: float, spacing: float, half: int) -> np.ndarray:
     return np.minimum(np.floor(np.sqrt(np.maximum(chord2, 0.0)) + 1e-12), half).astype(int)
 
 
-def _extreme_offsets(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest wrapped offsets (dy, dx) from each of the first _TIES maximum
-    samples of v to each of its first _TIES minimum samples."""
-    n = v.shape[0]
-    py, px = np.divmod(np.flatnonzero(v == v.max())[:_TIES], n)
-    qy, qx = np.divmod(np.flatnonzero(v == v.min())[:_TIES], n)
-    oy, ox = (qy[None, :] - py[:, None]) % n, (qx[None, :] - px[:, None]) % n
-    return np.minimum(oy, n - oy).ravel(), np.minimum(ox, n - ox).ravel()
-
-
 def _sweep(v: np.ndarray, padded: np.ndarray, chords: list) -> list:
     """max of v - lower for each disc of chords, from one widening sweep.
 
@@ -175,22 +163,24 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     """Exact grid modulus sup over |x-y| <= h of |v(x)-v(y)|, per h.
 
     The offsets (dy, dx) visited are those of `_chords`' disc, wrapped
-    periodically; the modulus is the largest v - lower, lower the minimum of
-    v over the disc about each sample.  For vector data the maximum over
-    components is taken, components running in order of decreasing
-    oscillation max - min, which bounds their modulus.  Per component and h:
+    periodically, one chord table for all components; the modulus is the
+    largest v - lower, lower the minimum of v over the disc about each
+    sample.  For vector data the maximum over components is taken,
+    components running in order of decreasing oscillation max - min, which
+    bounds their modulus.  Per component and h:
 
     - h is skipped when the components done already reach the oscillation;
-    - when the disc holds the offset from one of the first _TIES maximum
-      samples to one of the first _TIES minimum samples, the modulus is
-      max - min, the difference the envelope would give;
+    - when the disc holds the shortest wrapped offset from v.argmax() to
+      v.argmin(), the modulus is max - min, the difference the envelope
+      would give; a tied pair nearer than that one is left to the sweep;
     - otherwise h joins a batch of ascending radii that `_sweep` serves with
       one widening sweep, holding _ENVELOPE_BYTES of envelopes.
 
     min and max are exact and fl(a - b) is monotone in b, so each route gives
-    the same bits.  Work is O(n^2 a) per swept h.  A component that is not a
-    square 2-d array of finite samples raises InvalidField; a spacing not finite
-    and > 0, or an h not finite, NonPositiveArgument (h < 0 is an empty disc).
+    the same bits.  Work is O(n^2 a) per swept h.  Components that are not
+    square 2-d arrays of one shape (one spacing measures them all) and of
+    finite samples raise InvalidField; a spacing not finite and > 0, or an h
+    not finite, NonPositiveArgument (h < 0 is an empty disc).
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     _require_positive("spacing", spacing)
@@ -198,24 +188,25 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
         raise NonPositiveArgument(f"h must be finite, got {hs[~np.isfinite(hs)][0]}")
     out = np.zeros(len(hs))
     comps = [np.asarray(c, dtype=float) for c in fields]
-    if any(v.ndim != 2 or v.shape[0] != v.shape[1] for v in comps):
-        # n = shape[0] wraps both axes; a shortcut would not see a mismatch
-        raise InvalidField("each component must be a square 2-d array")
+    if len({v.shape for v in comps}) != 1 or comps[0].ndim != 2 or comps[0].shape[0] != comps[0].shape[1]:
+        # one n = shape[0] wraps both axes of every component, with one chord table
+        raise InvalidField("the components must be one or more square 2-d arrays of one shape")
     if not all(np.isfinite(v).all() for v in comps):
         # a nan, or inf - inf, in v - lower would read as a zero modulus
         raise InvalidField("component samples must be finite")
+    n = comps[0].shape[0]
+    half = n // 2
+    chords = [_chords(h, spacing, half) for h in hs]
     osc = [float(v.max() - v.min()) for v in comps]
     for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
         v = comps[k]
-        n = v.shape[0]
-        half = n // 2
-        chords = [_chords(h, spacing, half) for h in hs]
-        ey, ex = _extreme_offsets(v)
+        (py, px), (qy, qx) = divmod(int(v.argmax()), n), divmod(int(v.argmin()), n)
+        ey, ex = (min(d % n, -d % n) for d in (qy - py, qx - px))
         swept = []
         for i, bx in enumerate(chords):
             if len(bx) == 0 or out[i] >= osc[k]:
                 continue
-            if np.any((ey < len(bx)) & (ex <= bx[np.minimum(ey, len(bx) - 1)])):
+            if ey < len(bx) and ex <= bx[ey]:
                 out[i] = osc[k]
             else:
                 swept.append(i)
@@ -274,18 +265,18 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
 
     The Yudovich function is taken with the pair's index p0 (the growth is
     re-indexed if needed); otherwise the large-s plateau picks up a spurious
-    power of s.  r = s^(-p0) is formed only for |log r| < _LOG_R_MAX = 708;
-    past it y is Theta(p0) / s for r < 1, or the Legendre transform of
-    log r = -p0 log s, so no p0 overflows.  Samples must be finite and > 0.
+    power of s.  y is read from log r = -p0 log s alone, so r is never formed
+    and no p0 overflows it: y is the p0 boundary value Theta(p0) r^(1/p0) =
+    Theta(p0) / s where log r <= 0, and the Legendre transform of log r
+    elsewhere.  Samples must be finite and > 0.
     """
     s = curve.t_samples
     if not np.all((s > 0.0) & (s < np.inf)):
         raise NonPositiveArgument("K samples must be finite and > 0")
     gp = _with_p0(g, p0)
     log_r = -p0 * np.log(s)
-    inside, big = np.abs(log_r) < _LOG_R_MAX, log_r >= _LOG_R_MAX
+    big = log_r > 0.0
     y = gp(p0) / s
-    y[inside] = yudovich(gp, s[inside] ** (-p0))
     if big.any():
         y[big] = np.exp(_legendre(gp, log_r[big])[0])
     return _sup_finite_ratio(curve.k_values, s * y)

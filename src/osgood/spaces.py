@@ -22,10 +22,12 @@ _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
 
 
 def default_p_grid(p0: float) -> np.ndarray:
-    """The direct sup's exponents: _P_POINTS = 24 points, geometric from just
-    above p0 up to _P_HI = 512; p0 must be finite and > 0."""
+    """The direct sup's exponents: _P_POINTS = 24 points, geometric from
+    1.02 p0 up to _P_HI = 512, or up to 2.04 p0 where 1.02 p0 >= _P_HI, so
+    the grid always rises above p0; p0 must be finite and > 0."""
     _require_positive("p0", p0)
-    return np.geomspace(p0 * 1.02, _P_HI, _P_POINTS)
+    lo = p0 * 1.02
+    return np.geomspace(lo, _P_HI if lo < _P_HI else 2.0 * lo, _P_POINTS)
 
 
 @dataclass(frozen=True)

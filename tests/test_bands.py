@@ -6,6 +6,7 @@ import pytest
 
 from osgood.bands import (
     _partition_defect,
+    _raw_bump,
     band_inequality_checks,
     band_profile,
     besov_norm,
@@ -65,6 +66,27 @@ class TestBandProfile:
     def test_partition_on_grid_frequencies(self, n):
         # the bands sum to one at every nonzero grid frequency to within an ulp
         assert _partition_defect(n) <= 2.0**-51
+
+    def test_float_range_ends_answer_without_warnings(self):
+        # 2^(j0 + dj) once underflowed to 0 at rho = 5e-324 (divide by zero),
+        # overflowed at 1.7e308, and floor(log2(inf)) failed its int cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = band_profile(np.array([5e-324, 1e-310, 1.7e308, np.finfo(float).max, np.inf]))
+        assert np.array_equal(out, np.zeros(5))
+
+    def test_power_of_two_scaling_is_bit_identical(self):
+        # the former division by 2.0 ** (j0 + dj), wherever that power is a
+        # finite float and nonzero, against the scaling by np.ldexp
+        def divided(rho):
+            r = np.asarray(rho, dtype=float)
+            j0 = np.floor(np.log2(r)).astype(int)
+            total = sum(_raw_bump(r / 2.0 ** (j0 + dj)) for dj in range(-2, 3))
+            return _raw_bump(r) / total
+
+        rho = np.concatenate([np.geomspace(1e-300, 1e300, 20001), rng.uniform(0.5, 2.0, 4000),
+                              np.hypot(*np.meshgrid(np.arange(257.0), np.arange(257.0))).ravel()[1:]])
+        assert np.array_equal(band_profile(rho), divided(rho))
 
 
 class TestDecompose:

@@ -127,6 +127,26 @@ def test_envelope_curve_needs_finite_positive_h(h):
         envelope_curve(GrowthFunction.power(1.0), h, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("norm", [np.nan, -np.inf, np.inf, -1.0])
+def test_envelope_curve_needs_finite_nonnegative_norm(norm):
+    # nan and -inf came back as nan and -inf envelopes, -1 as a negative one
+    with pytest.raises(NonPositiveArgument, match="norm_reference must be finite and >= 0"):
+        envelope_curve(GrowthFunction.power(1.0), [0.1, 1.0], norm)
+    assert np.array_equal(envelope_curve(GrowthFunction.power(1.0), [0.1, 1.0], 0.0), [0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_curve_h_whose_reciprocal_overflows():
+    # 1 / 5e-324 warned "overflow encountered in divide"; 1/h is finite
+    # exactly for h > 2^-1024
+    g = GrowthFunction.power(1.0)
+    for h in (5e-324, 2.0**-1024):
+        with pytest.raises(NonPositiveArgument, match="1/h finite"):
+            envelope_curve(g, [h, 0.5], 1.0)
+    assert np.isfinite(envelope_curve(g, np.nextafter(2.0**-1024, 1.0), 1.0)).all()
+
+
 def test_default_h_samples_follow_the_domain():
     w = full_spectrum_vorticity(16, seed=5)
     g = GrowthFunction.power(1.0)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osgood import growth as growth_module
-from osgood.errors import HypothesisViolated, InvalidModulus, NonPositiveArgument, SearchDivergence
+from osgood.biot import modulus_envelope
+from osgood.errors import (
+    HypothesisViolated,
+    InvalidArgument,
+    InvalidModulus,
+    NonPositiveArgument,
+    OsgoodError,
+    SearchDivergence,
+)
+from osgood.field import GridField
+from osgood.kfunc import BandSequence
 from osgood.growth import (
     GrowthFunction,
     OsgoodOrientation,
@@ -591,6 +602,17 @@ class TestOsgood:
         with pytest.raises(NonPositiveArgument, match="epsilon_L"):
             osgood_test(OsgoodSpec(modulus=osgood_from_growth(LINEAR).modulus, epsilon_L=5e-324))
 
+    def test_zero_end_epsilon_whose_samples_leave_the_range_of_1_over_r(self):
+        # 1e-8 * 1e-310 is below 2^-1024, where a growth's modulus warned
+        # "overflow encountered in divide" forming 1/r; 1e-300 is above it
+        modulus = osgood_from_growth(GrowthFunction.power(0.5)).modulus
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveArgument, match="epsilon_L"):
+                osgood_test(OsgoodSpec(modulus=modulus, epsilon_L=1e-310))
+            out = osgood_test(OsgoodSpec(modulus=modulus, epsilon_L=1e-300))
+        assert out.verdict is OsgoodVerdict.INCONCLUSIVE and out.exit == "decades exhausted"
+
     def test_growth_modulus_starts_at_one_half(self):
         assert osgood_from_growth(LINEAR).epsilon_L == 0.5
 
@@ -994,3 +1016,21 @@ class TestTable:
             GrowthFunction.from_table([1.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             GrowthFunction.from_table([1.0, 2.0], [1.0, -2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GrowthFunction.from_table([[1.0, 2.0]], [[1.0, 2.0]]),
+    lambda: GrowthFunction.from_table([1.0, 1.0], [1.0, 2.0]),
+    lambda: GrowthFunction.from_table([1.0, 2.0], [1.0, 0.0]),
+    lambda: lemma1_ratio_scan(GrowthFunction.constant(1.0), []),
+    lambda: lemma1_ratio_scan(GrowthFunction.constant(1.0), [1.5]),
+    lambda: BandSequence(((0, -1.0),)),
+    lambda: BandSequence(((1, 1.0), (0, 1.0))),
+    lambda: modulus_envelope(GridField(np.zeros((8, 8))), 0.0, GrowthFunction.power(1.0), norm_choice="besov"),
+], ids=["table shape", "table order", "table values", "empty r grid", "r below e^(2 p0)",
+        "negative band norm", "band order", "norm choice"])
+def test_rejected_arguments_raise_a_typed_value_error(call):
+    # each of these raised a bare ValueError; the typed one still is one
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert isinstance(err.value, OsgoodError) and isinstance(err.value, ValueError)

@@ -1,9 +1,11 @@
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 import osgood
 
 from osgood.errors import EmptySequence, InvalidExponent, InvalidField, NonPositiveArgument
+from osgood.biot import biot_savart
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
-from osgood.growth import GrowthFunction, theta1, yudovich
+from osgood.growth import GrowthFunction, _legendre, _with_p0, theta1, yudovich
 from osgood.kfunc import (
+    _T_GRID,
     BandSequence,
     KCurve,
     k_linf_lip,
@@ -25,7 +29,10 @@ from osgood.kfunc import (
     k_seq,
     extrapolation_sup,
     modulus_of_continuity,
+    _chords,
     _h_grid,
+    _sup_finite_ratio,
+    _sweep,
 )
 
 rng = np.random.default_rng(7)
@@ -220,6 +227,13 @@ class TestKLinfLip:
         with pytest.raises(InvalidField):
             modulus_of_continuity([v], 2 * np.pi / 16, np.array([0.3]))
 
+    def test_components_of_different_shapes_rejected(self):
+        # one spacing measures every component, so they share one grid
+        with pytest.raises(InvalidField, match="one shape"):
+            modulus_of_continuity([np.zeros((8, 8)), np.zeros((16, 16))], 0.1, np.array([0.3]))
+        with pytest.raises(InvalidField, match="one or more"):
+            modulus_of_continuity([], 0.1, np.array([0.3]))
+
     def test_bad_spacing_and_h_rejected(self):
         # spacing 0 divided by zero, a negative spacing read as a zero
         # modulus, and a nan h failed in numpy's integer conversion
@@ -298,6 +312,51 @@ def _gate_field(n, kind):
     return log_power_field(n).data
 
 
+def _tied_extremes_modulus(fields, spacing, h_values):
+    """The former routine: the oscillation shortcut paired each of the first
+    64 maximum samples with each of the first 64 minimum samples, and each
+    component built its own chord table."""
+    hs = np.atleast_1d(np.asarray(h_values, dtype=float))
+    out = np.zeros(len(hs))
+    comps = [np.asarray(c, dtype=float) for c in fields]
+    osc = [float(v.max() - v.min()) for v in comps]
+    for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
+        v = comps[k]
+        n = v.shape[0]
+        half = n // 2
+        chords = [_chords(h, spacing, half) for h in hs]
+        py, px = np.divmod(np.flatnonzero(v == v.max())[:64], n)
+        qy, qx = np.divmod(np.flatnonzero(v == v.min())[:64], n)
+        oy, ox = (qy[None, :] - py[:, None]) % n, (qx[None, :] - px[:, None]) % n
+        ey, ex = np.minimum(oy, n - oy).ravel(), np.minimum(ox, n - ox).ravel()
+        swept = []
+        for i, bx in enumerate(chords):
+            if len(bx) == 0 or out[i] >= osc[k]:
+                continue
+            if np.any((ey < len(bx)) & (ex <= bx[np.minimum(ey, len(bx) - 1)])):
+                out[i] = osc[k]
+            else:
+                swept.append(i)
+        swept.sort(key=lambda i: hs[i])
+        padded = np.pad(v, ((0, 0), (half, half)), mode="wrap")
+        for i, m in zip(swept, _sweep(v, padded, [chords[i] for i in swept])):
+            out[i] = max(out[i], m)
+    return out
+
+
+def _pipeline_velocities():
+    """Both velocity components of the benchmark's pipeline inputs, seeds
+    0-1, operations 0-7, from its own input generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    m = SimpleNamespace(field=osgood.field, growth=osgood.growth)
+    for seed in (0, 1):
+        for i in range(8):
+            yield biot_savart(workloads.make_input(m, "pipeline", seed, i)["field"])
+
+
 class TestModulusExactness:
     """The slice-min chain visits the same offsets as the reference and
     min is exact, so the results agree bit for bit."""
@@ -347,6 +406,24 @@ class TestModulusExactness:
         hs = _h_grid(v)[::-1]
         assert np.array_equal(modulus_of_continuity([v.data], v.spacing, hs),
                               _reference_modulus([v.data], v.spacing, hs))
+
+    def test_bit_identical_to_the_tied_extremes_shortcut(self):
+        # one extreme pair, argmax to argmin, against every tied pair: on the
+        # pipeline's velocities, each component with one maximum and one
+        # minimum sample, and on a field whose nearest tied pair (two rows,
+        # one column) is not the pair argmax and argmin give (n/4 rows)
+        for v1, v2 in _pipeline_velocities():
+            hs = _h_grid(v1)
+            assert np.array_equal(modulus_of_continuity([v1.data, v2.data], v1.spacing, hs),
+                                  _tied_extremes_modulus([v1.data, v2.data], v1.spacing, hs))
+        for n in (16, 64):
+            v = _gate_field(n, "tied_extremes")
+            py, px = divmod(int(v.argmax()), n)
+            qy, qx = divmod(int(v.argmin()), n)
+            assert ((qy - py) % n, (qx - px) % n) == (n // 4, 0)
+            s = 2 * np.pi / n
+            hs = np.concatenate([_gate_h_values(n), _h_grid(torus_field(v))])
+            assert np.array_equal(modulus_of_continuity([v], s, hs), _tied_extremes_modulus([v], s, hs))
 
     def test_peak_memory_of_a_velocity_call(self):
         # two 128^2 components on the 48-point grid: the batched lower
@@ -557,6 +634,32 @@ class TestExtrapolationSup:
         log_y = np.min(np.log(g(ps)) + np.outer(-p0 * np.log(s), 1.0 / ps), axis=1)
         ref = np.max(curve.k_values / (s * np.exp(log_y)))
         assert extrapolation_sup(curve, g, p0) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("p0", [1.0, 4.0, 60.0, 500.0])
+    @pytest.mark.parametrize("domain", [Domain.UNIT_TORUS, Domain.TORUS_2PI])
+    def test_log_r_form_within_four_ulps_of_the_three_branch_form(self, domain, p0):
+        # the former routine formed r = s^(-p0) for |log r| < 708 and took
+        # y(r) there, Theta(p0) / s below and the Legendre transform above;
+        # y from log r alone moves the sup by rounding only, on both reports'
+        # curves: the field's rearrangement and its sharp maximal function's
+        def three_branch(curve, g, p0):
+            s = curve.t_samples
+            gp = _with_p0(g, p0)
+            log_r = -p0 * np.log(s)
+            inside, big = np.abs(log_r) < 708.0, log_r >= 708.0
+            y = gp(p0) / s
+            y[inside] = yudovich(gp, s[inside] ** (-p0))
+            if big.any():
+                y[big] = np.exp(_legendre(gp, log_r[big])[0])
+            return _sup_finite_ratio(curve.k_values, s * y)
+
+        data = log_power_field(64, alpha=0.5).data
+        f = GridField(data / np.abs(data).max(), domain)  # so (f*)^500 stays finite
+        for prof in (rearrange(f), rearrange(sharp_maximal(f))):
+            curve = k_lp_linf_profile(prof, p0, _T_GRID)
+            for g in (GrowthFunction.power(0.5), GrowthFunction.log_power(1.0, (1.0,), shifted=True)):
+                ref = three_branch(curve, g, p0)
+                assert abs(extrapolation_sup(curve, g, p0) - ref) <= 4 * np.spacing(ref)
 
     @pytest.mark.parametrize("t", [0.0, np.inf])
     def test_samples_must_be_finite_and_positive(self, t):

@@ -189,6 +189,19 @@ def test_index_must_be_finite_and_positive(p0):
             norm(random_field(8, seed=104), LINEAR, p0=p0)
 
 
+@pytest.mark.parametrize("p0", [1.0, 4.0, 501.0, 502.0, 600.0, 1e4])
+def test_default_p_grid_rises_above_p0(p0):
+    # geomspace(1.02 p0, 512) ran downward once p0 > 512 / 1.02 (612 -> 512 at
+    # p0 = 600); where it rose it is unchanged, bit for bit
+    ps = default_p_grid(p0)
+    assert len(ps) == 24 and ps[0] == 1.02 * p0 > p0
+    assert np.all(np.diff(ps) > 0.0)
+    if 1.02 * p0 < 512.0:
+        assert np.array_equal(ps, np.geomspace(1.02 * p0, 512.0, 24))
+    else:
+        assert ps[-1] == pytest.approx(2.04 * p0, rel=1e-15)
+
+
 @pytest.mark.parametrize("g", [CONST, LINEAR, QUADRATIC, GrowthFunction.log_power(1.0, (2.0,), shifted=True)])
 def test_direct_value_matches_the_scalar_loop(g):
     # one Theta call over the p grid gives the bits of one call per p
