@@ -53,10 +53,8 @@ def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridFie
             raise InvalidExponent(f"beta={beta:g} amplifies the top band by e^{log_top:.4g}, past the floats")
         gain = math.exp((beta - 1.0) * log_nyquist)
         warnings.warn(f"beta={beta:g} amplifies the top band by {gain:.3g}", UserWarning)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = rho ** (beta - 2.0)
-    # xi = 0 at the zero mode and at (n/2, 0), (0, n/2), (n/2, n/2)
-    amp[rho == 0] = 0.0
+    # xi = 0 at the zero mode and at (n/2, 0), (0, n/2), (n/2, n/2): amp 0 there
+    amp = np.power(rho, beta - 2.0, out=np.zeros_like(rho), where=rho > 0)
     v1, v2 = (np.fft.irfft2(s * spec, s=omega.data.shape) for s in (1j * xi2 * amp, -1j * xi1 * amp))
     return GridField(v1, omega.domain), GridField(v2, omega.domain)
 

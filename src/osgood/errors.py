@@ -22,7 +22,7 @@ class InvalidModulus(OsgoodError):
 
 
 class InvalidExponent(OsgoodError):
-    """Lebesgue exponent outside [1, inf] (or nan), or a band exponent that is not finite."""
+    """Lebesgue exponent outside [1, inf] (or nan), a band exponent not finite, or a p0 past the float range."""
 
 
 class NonZeroMean(OsgoodError):
@@ -44,7 +44,8 @@ class InvalidField(OsgoodError, ValueError):
 class InvalidArgument(OsgoodError, ValueError):
     """An argument outside what its entry accepts that no narrower type names:
     a malformed growth table, an r grid empty or not above e^(2 p0), band
-    norms negative or out of order, an unknown norm choice."""
+    norms negative or out of order, an unknown norm choice, a norm form
+    whose sampled ratio passes the float range."""
 
 
 class AliasRisk(UserWarning):

@@ -135,8 +135,10 @@ class RearrangementProfile:
 
     def _cells(self, t: np.ndarray) -> np.ndarray:
         """floor(t / cell_measure), clamped to the sample count before the cast
-        to int, so a t past the profile, even past int64, reads as its end."""
-        return np.minimum(np.floor(t / self.cell_measure), len(self.values)).astype(int)
+        to int, so a t past the profile, even past int64, reads as its end;
+        capping t at twice the profile's measure first keeps the ratio finite."""
+        cap = 2.0 * len(self.values) * self.cell_measure
+        return np.minimum(np.floor(np.minimum(t, cap) / self.cell_measure), len(self.values)).astype(int)
 
     def lp(self, p: float) -> float:
         """L^p norm of f*, p in [1, inf], as m (sum (v/m)^p cell)^(1/p) with
@@ -190,13 +192,8 @@ def lp_norm(f: GridField, p: float) -> float:
 # -- dyadic cube hierarchy ---------------------------------------------------
 
 def cube_levels(n: int):
-    """Cube side lengths (in cells) from _MIN_SIDE = 4 up to n."""
-    sides = []
-    s = _MIN_SIDE
-    while s <= n:
-        sides.append(s)
-        s *= 2
-    return sides
+    """Cube side lengths (in cells): the powers of two from _MIN_SIDE = 4 up to n."""
+    return [_MIN_SIDE << k for k in range(n.bit_length() - 2)]
 
 
 def _wrapped_pairs(a: np.ndarray, op, step: int) -> np.ndarray:
@@ -216,7 +213,8 @@ def _half_ranges(data: np.ndarray, rounding: float):
     sides.  The cell maxima and minima are one pyramid of strided 2 x 2
     maxima and minima, built from the finest level up.  The bound is half
     the cube's range plus rounding * m * (max(|max|, |min|) + 2^-1022) for m
-    samples; the 2^-1022 covers rounding among subnormals.
+    samples; the 2^-1022 covers rounding among subnormals.  A field whose
+    max - min passes the float range raises InvalidField before any level.
     """
     n = data.shape[0]
     hi = lo = data
@@ -230,6 +228,8 @@ def _half_ranges(data: np.ndarray, rounding: float):
             levels.append((side, hi.max(keepdims=True), lo.min(keepdims=True)))
         else:
             levels.append((side, _wrapped_pairs(hi, np.maximum, 1), _wrapped_pairs(lo, np.minimum, 1)))
+    if not float(hi.max()) - float(lo.min()) < np.inf:
+        raise InvalidField("the field's range max - min passes the float range")
     for side, top, bottom in reversed(levels):
         magnitude = np.maximum(np.abs(top), np.abs(bottom)) + 2.0 ** -1022
         yield side, 0.5 * (top - bottom) + rounding * (side * side) * magnitude
@@ -339,24 +339,8 @@ def fefferman_stein_sharp(f: GridField) -> GridField:
 
 def dyadic_bmo_norm(f: GridField) -> float:
     """The (dyadic) BMO norm: the largest mean oscillation avg_Q |f - avg_Q f|
-    over the cube family, which is the maximum of fefferman_stein_sharp, taken
-    straight from the per-cube values with no n x n field built.
-
-    Levels run coarse to fine, and a cube is given its mean oscillation only
-    when its bound exceeds the running best, which it could not raise
-    otherwise.  The bound is half the cube's range plus the rounding
-    allowance 8 m 2^-53 (M + 2^-1022) for m samples of largest magnitude M:
-    the computed mean can sit off the true one, so the computed mean
-    oscillation can pass half the range by about (2m + 3) 2^-53 M (see
-    `_cube_sweep`).
-    """
-    wrapped = np.pad(f.data, (0, f.n // 4), mode="wrap")
-    best = 0.0
-    for side, bound in _half_ranges(f.data, _MEAN_ROUNDING):
-        a, b = np.nonzero(bound > best)
-        if len(a):
-            best = max(best, float(_cube_stats(wrapped, f.n, side, a, b, _mean_oscillation).max()))
-    return best
+    over the cube family, the maximum of fefferman_stein_sharp."""
+    return float(fefferman_stein_sharp(f).data.max())
 
 
 # -- field I/O ----------------------------------------------------------------

@@ -124,6 +124,7 @@ class GrowthFunction:
         float operations, and the loop runs only from the first failing triple.
         Every point of a convex phi passes; collinear points, as for a
         constant, fail at the first triple and leave the whole loop to run.
+        A slope past the float range is set to the signed inf it would overflow to.
         """
         ps = np.geomspace(self.p0, _P_TOP, _GRID)
         xs, phi = np.log(ps), self.log_value(ps)
@@ -144,7 +145,9 @@ class GrowthFunction:
                     hull.pop()
                 hull.append(i)
             v = np.array(hull, dtype=int)
-        return ps, xs, phi, v, np.diff(phi[v]) / np.diff(1.0 / ps[v])
+        rise, run = np.diff(phi[v]), np.diff(1.0 / ps[v])
+        fits = np.abs(rise) / np.finfo(float).max <= np.abs(run)
+        return ps, xs, phi, v, np.divide(rise, run, out=np.copysign(np.inf, rise), where=fits)
 
     # -- constructors ------------------------------------------------------
 

@@ -117,16 +117,18 @@ def k_lp_bmo(f: GridField, p0: float, t_grid=_T_GRID) -> KCurve:
 def _chords(h: float, spacing: float, half: int) -> np.ndarray:
     """Chord half-widths bx(dy), dy = 0..a, of the offset disc |d| <= h:
     a = floor(h/spacing) and bx(dy) = floor(sqrt((h/spacing)^2 - dy^2)), each
-    with a 1e-12 allowance and capped at half = n//2; empty for h < 0.
+    with a 1e-12 allowance and capped at half = n//2; empty for h < 0.  h is
+    capped first at 2 half spacings, where every chord is capped already.
 
     The offsets of the disc are (dy, dx) with |dy| <= a and |dx| <= bx(|dy|),
     wrapped periodically, so a wrapped offset (oy, ox) is in it exactly when
     its shortest representative is: min(oy, n - oy) <= a and
     min(ox, n - ox) <= bx(min(oy, n - oy)), bx never growing with |dy|.
     """
-    a = min(int(np.floor(h / spacing + 1e-12)), half)
+    ratio = min(h, 2.0 * half * float(spacing)) / spacing
+    a = min(int(np.floor(ratio + 1e-12)), half)
     dy = np.arange(a + 1)
-    chord2 = (h / spacing) ** 2 - dy * dy
+    chord2 = ratio ** 2 - dy * dy
     return np.minimum(np.floor(np.sqrt(np.maximum(chord2, 0.0)) + 1e-12), half).astype(int)
 
 
@@ -268,13 +270,17 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
     power of s.  y is read from log r = -p0 log s alone, so r is never formed
     and no p0 overflows it: y is the p0 boundary value Theta(p0) r^(1/p0) =
     Theta(p0) / s where log r <= 0, and the Legendre transform of log r
-    elsewhere.  Samples must be finite and > 0.
+    elsewhere.  Samples must be finite and > 0, and a p0 for which some
+    log r passes the float range raises InvalidExponent.
     """
     s = curve.t_samples
     if not np.all((s > 0.0) & (s < np.inf)):
         raise NonPositiveArgument("K samples must be finite and > 0")
     gp = _with_p0(g, p0)
-    log_r = -p0 * np.log(s)
+    log_s = np.log(s)
+    if not float(p0) * float(np.abs(log_s).max()) < np.inf:
+        raise InvalidExponent(f"p0 = {p0:g} takes log r = -p0 log s past the float range")
+    log_r = -p0 * log_s
     big = log_r > 0.0
     y = gp(p0) / s
     if big.any():
@@ -285,9 +291,12 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
 def _sup_finite_ratio(num, den) -> float:
     """max of the finite entries of num / den, 0 when there are none: every
     sampled sup of a norm form (over p, t, N or alpha) is taken by this one
-    rule, so a 0 / 0 or x / 0 sample never decides a form."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    rule, so a 0 / 0 or x / 0 sample never decides a form.  A finite ratio
+    that overflows raises InvalidArgument: the form passes the float range."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         vals = num / den
+    if np.any(np.isinf(vals) & np.isfinite(num) & (den != 0)):
+        raise InvalidArgument("a sampled norm form passes the float range: a finite ratio overflows")
     vals = vals[np.isfinite(vals)]
     return float(vals.max()) if len(vals) else 0.0
 

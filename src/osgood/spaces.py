@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidExponent
 from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
 from .growth import GrowthFunction, _positive_theta, _require_positive, _with_p0, yudovich
 from .kfunc import _T_GRID, _ratio, _sup_finite_ratio, extrapolation_sup, k_lp_linf_profile
@@ -24,8 +25,11 @@ _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
 def default_p_grid(p0: float) -> np.ndarray:
     """The direct sup's exponents: _P_POINTS = 24 points, geometric from
     1.02 p0 up to _P_HI = 512, or up to 2.04 p0 where 1.02 p0 >= _P_HI, so
-    the grid always rises above p0; p0 must be finite and > 0."""
+    the grid always rises above p0; p0 must be finite and > 0, and a p0
+    whose grid top passes the float range raises InvalidExponent."""
     _require_positive("p0", p0)
+    if not 2.0 * (float(p0) * 1.02) < np.inf:
+        raise InvalidExponent(f"p0 = {p0:g} takes the exponent grid's top 2.04 p0 past the float range")
     lo = p0 * 1.02
     return np.geomspace(lo, _P_HI if lo < _P_HI else 2.0 * lo, _P_POINTS)
 

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,9 @@ class TestBesovVishik:
         xx, _ = grid_xy(n)
         assert vishik_norm(decompose(torus_field(np.cos(xx))), CONST, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_vishik_of_no_bands_is_zero(self):
+        assert vishik_norm(BandSequence(()), CONST, 0.0) == 0.0
+
     def test_vishik_zero_growth_rejected(self):
         # Pi(0) = 0 for the unshifted power growth: a typed error, not a
         # ZeroDivisionError
@@ -306,6 +310,16 @@ class TestBandInequalities:
             row = next(r for r in band_inequality_checks(d, p0)["bands"] if r["j"] == j)
             assert row["p0_norm"] == pytest.approx(l2, rel=1e-9)
             assert row["nikolskii_const"] == pytest.approx(1.0 / (2.0**j * l2), rel=1e-9)
+
+    def test_band_with_zero_sup_is_skipped(self):
+        # its constants would divide by sup = 0
+        xx, _ = grid_xy(64)
+        d = decompose(torus_field(np.cos(4.0 * xx)))
+        (j0, b0), (_, sup0) = d.bands[0], d.sups.entries[0]
+        zeroed = replace(d, bands=((j0, torus_field(np.zeros_like(b0.data))),) + d.bands[1:],
+                         sups=BandSequence(((j0, 0.0),) + d.sups.entries[1:]))
+        rows = band_inequality_checks(zeroed, 2.0)["bands"]
+        assert sup0 > 0.0 and [r["j"] for r in rows] == [j for j, _ in d.bands[1:]]
 
     def test_random_band_constants_bounded(self):
         d = decompose(band_limited_field(256, seed=13))

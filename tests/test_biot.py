@@ -7,8 +7,8 @@ import pytest
 from osgood import biot
 from osgood.bands import spectral_gradient
 from osgood.biot import biot_savart, curl, divergence_defect, envelope_curve, modulus_envelope
-from osgood.errors import InvalidExponent, NonPositiveArgument
-from osgood.field import Domain, GridField
+from osgood.errors import InvalidExponent, NonPositiveArgument, NonZeroMean
+from osgood.field import Domain, GridField, _fourier_grid
 from osgood.growth import GrowthFunction
 from osgood.spaces import sharp_yudovich_norm
 
@@ -74,6 +74,31 @@ def test_top_band_gain_warning(domain, gain):
     # |xi|^(beta-1) at the Nyquist ring |xi| = pi / spacing, here beta = 3, n = 16
     with pytest.warns(UserWarning, match=re.escape(f"by {gain}") + "$"):
         biot_savart(GridField(np.zeros((16, 16)), domain), 3.0)
+
+
+def test_vorticity_must_be_mean_free():
+    with pytest.raises(NonZeroMean):
+        biot_savart(GridField(np.ones((8, 8))))
+
+
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+def test_symbol_is_the_patched_power(n, domain):
+    # |xi|^(beta - 2) taken only where xi != 0 gives the bits of the power
+    # taken everywhere and patched to 0 at xi = 0
+    omega = full_spectrum_vorticity(n, 11).as_domain(domain)
+    _, _, xi1, xi2 = _fourier_grid(n, domain.side)
+    rho = np.hypot(xi1, xi2)
+    spec = np.fft.rfft2(omega.data)
+    for beta in (-1.0, 0.0, 0.5, 1.0, 2.5, 3.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            amp = rho ** (beta - 2.0)
+        amp[rho == 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # beta > 2 flags the top band
+            v1, v2 = biot_savart(omega, beta)
+        assert np.array_equal(v1.data, np.fft.irfft2(1j * xi2 * amp * spec, s=omega.data.shape))
+        assert np.array_equal(v2.data, np.fft.irfft2(-1j * xi1 * amp * spec, s=omega.data.shape))
 
 
 def test_nan_beta_is_an_invalid_exponent():

@@ -1,4 +1,8 @@
+import importlib.util
 import struct
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +16,10 @@ from osgood.errors import (
     NonPositiveArgument,
     OsgoodError,
 )
+import osgood.field
+import osgood.growth
 from osgood.field import (
+    _MEAN_ROUNDING,
     Domain,
     GridField,
     cube_levels,
@@ -22,6 +29,9 @@ from osgood.field import (
     read_field_binary,
     rearrange,
     sharp_maximal,
+    _cube_stats,
+    _half_ranges,
+    _mean_oscillation,
     write_field_binary,
 )
 from osgood.growth import GrowthFunction
@@ -141,6 +151,17 @@ class TestRearrange:
         # the default t grid reaches 1e3, so t^8 = 1e24 is far past the profile
         curve = k_lp_linf(f, 8.0)
         assert np.all(np.isfinite(curve.k_values)) and curve.k_values[-1] == whole ** (1.0 / 8.0)
+
+    def test_measures_at_the_top_of_the_float_range(self):
+        # t / cell_measure overflowed at t = 1.7e308 ("overflow encountered in
+        # divide"); every t past the profile reads as its end
+        prof = rearrange(GridField(np.random.default_rng(6).standard_normal((16, 16))))
+        whole = prof.integral(2.0 * prof.total_measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1.7e308, np.finfo(float).max):
+                assert prof.star(t) == 0.0 and prof.integral(t) == whole
+                assert prof.double_star(t) == whole / t
 
     def test_power_integral_past_the_float_range(self):
         # f*(0)^1000 overflowed with a RuntimeWarning; where it is finite the
@@ -616,6 +637,85 @@ def test_report_direct_values_match_full_sums(n):
         for rep, base, p0 in ((yudovich_norm(f, g), f, 1.0), (sharp_yudovich_norm(f, g), sm, 4.0)):
             ref = max(full_sum_lp(base, p) / g(p) for p in default_p_grid(p0))
             assert rep.direct_value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_cube_levels_are_the_doubling_loop():
+    def doubling(n):
+        sides, s = [], 4
+        while s <= n:
+            sides.append(s)
+            s *= 2
+        return sides
+
+    assert all(cube_levels(n) == doubling(n) for n in range(2049))
+
+
+# -- the dyadic BMO norm is the maximum of the per-cell sweep ---------------------
+#
+# A reference copy of the walk dyadic_bmo_norm took before it read the maximum
+# of fefferman_stein_sharp: levels coarse to fine, and a cube given its mean
+# oscillation only when its bound exceeds the best value so far.  Both keep
+# every cube that could raise the maximum, so they agree bit for bit.
+
+def global_floor_bmo(f):
+    wrapped = np.pad(f.data, (0, f.n // 4), mode="wrap")
+    best = 0.0
+    for side, bound in _half_ranges(f.data, _MEAN_ROUNDING):
+        a, b = np.nonzero(bound > best)
+        if len(a):
+            best = max(best, float(_cube_stats(wrapped, f.n, side, a, b, _mean_oscillation).max()))
+    return best
+
+
+def bmo_gate_fields(n):
+    """Normal noise, zero, a constant, a ramp and one spike, and the noise at
+    the top and the subnormal bottom of the float range."""
+    noise = np.random.default_rng(n + 7).standard_normal((n, n))
+    spike = np.zeros((n, n))
+    spike[n // 3, n // 5] = 1.0
+    return {
+        "normal": noise, "zero": np.zeros((n, n)), "constant": np.full((n, n), 0.1),
+        "ramp": np.add.outer(np.arange(n), 0.5 * np.arange(n)) / n, "spike": spike,
+        "x1e300": 1e300 * noise, "x1e-310": 1e-310 * noise,
+    }
+
+
+def benchmark_fields():
+    """The fields of the benchmark's pipeline (n = 128) and spectral (n = 512)
+    operations 0-2 of seed 0, from its own input generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    m = SimpleNamespace(field=osgood.field, growth=osgood.growth)
+    return [workloads.make_input(m, w, 0, i)["field"] for w in ("pipeline", "spectral") for i in range(3)]
+
+
+@pytest.mark.parametrize("n", (4, *GATE_NS))
+def test_dyadic_bmo_norm_is_the_global_floor_walk(n):
+    for name, data in bmo_gate_fields(n).items():
+        for domain in Domain:
+            f = GridField(data, domain)
+            assert dyadic_bmo_norm(f) == global_floor_bmo(f), name
+
+
+def test_dyadic_bmo_norm_on_the_benchmark_fields():
+    for f in benchmark_fields():
+        for domain in Domain:
+            assert dyadic_bmo_norm(f.as_domain(domain)) == global_floor_bmo(f)
+
+
+def test_cube_walks_reject_a_range_past_the_float_range():
+    # half of max - min overflowed in every walk ("overflow encountered in
+    # subtract"); a range inside the floats keeps the trimmed walk's bits
+    signs = np.where(np.add.outer(np.arange(16), np.arange(16)) % 3 == 0, 1.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for walk in (sharp_maximal, fefferman_stein_sharp, dyadic_bmo_norm):
+            with pytest.raises(InvalidField, match="max - min passes the float range"):
+                walk(GridField(1.7e308 * signs))
+        f = GridField(8.5e307 * signs)
+        assert np.array_equal(sharp_maximal(f).data, scatter_cube_sweep(f, trimmed_oscillation))
 
 
 # -- properties of the sorted profile --------------------------------------------

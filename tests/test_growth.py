@@ -406,6 +406,20 @@ class TestYudovichKernelExactness:
             yudovich_eval(LINEAR, bad)
 
 
+def test_hull_slopes_past_the_float_range():
+    # Theta = p^1e300: hull slopes overflowed in the division ("overflow
+    # encountered in divide"); each is the -inf the division gave, and y is
+    # unchanged
+    g = GrowthFunction.power(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slopes = g._hull[4]
+        assert yudovich(g, 10.0) == 10.000000000000002
+    with np.errstate(over="ignore"):
+        ref = _reference_hull(g)[4]
+    assert np.isneginf(slopes).any() and np.array_equal(slopes, ref)
+
+
 class TestTheta1:
     def test_pointwise_product(self):
         g = theta1(LINEAR)
@@ -970,6 +984,12 @@ class TestPClass:
         # Pi(0) = 0 log 0 is nan: the witness names the term, not a divergence
         assert rep.witness["tail_sum"] == "tail term 0 is nan, not finite"
         assert rep.tail_ratio is None and rep.doubling_constant == doubling
+
+    def test_zero_head_is_a_tail_witness(self):
+        # Pi(0) = 0 for p^1: the head at N = 0 vanishes under a positive tail
+        rep = pclass_check(GrowthFunction.power(1.0), kappa=1.0)
+        assert rep.passes["tail_sum"] is False and rep.witness["tail_sum"] == 0
+        assert rep.tail_ratio == math.inf
 
     def test_nowhere_finite_growth_reports(self):
         # every doubling ratio is inf/inf: the constant is nan, with no

@@ -1,9 +1,11 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import osgood
 
-from osgood.errors import EmptySequence, InvalidExponent, InvalidField, NonPositiveArgument
+from osgood.errors import EmptySequence, InvalidArgument, InvalidExponent, InvalidField, NonPositiveArgument
 from osgood.biot import biot_savart
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction, _legendre, _with_p0, theta1, yudovich
@@ -52,6 +54,17 @@ def log_power_field(n, alpha=1.0):
     xx, yy = np.meshgrid(x, x, indexing="ij")
     rho = np.maximum(np.hypot(xx, yy), 0.5 / n)
     return unit_field(np.abs(np.log(rho)) ** (alpha + 1.0))
+
+
+@pytest.mark.parametrize("k, msg", [
+    ([1.0, 0.5, 2.0], "K not nondecreasing"),
+    ([1.0, 4.0, 9.0], "K/t not nonincreasing"),
+    ([1.0, 1.0, 1.4], "K dips below the concave chord envelope"),
+])
+def test_check_shape_names_the_broken_property(k, msg):
+    curve = KCurve(pair="probe", t_samples=np.array([1.0, 2.0, 3.0]), k_values=np.array(k))
+    with pytest.raises(AssertionError, match=f"probe: {msg}"):
+        curve.check_shape(concave_slack=0.0)
 
 
 class TestKLpLinf:
@@ -186,6 +199,31 @@ class TestKLinfLip:
                         diff = np.abs(np.roll(v.data, (-dy, -dx), axis=(0, 1)) - v.data).max()
                         best = max(best, diff)
             assert g == pytest.approx(best, abs=1e-12)
+
+    def test_chords_at_the_ends_of_the_float_range(self):
+        # (h / spacing)^2 overflowed at spacing 1e-300 and at h = 1e300
+        # ("overflow encountered in scalar power"); every offset of the grid
+        # is then in the disc, so the modulus is the oscillation
+        v = rng.standard_normal((16, 16))
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spacing, hs in ((1e-300, [0.1, 1.0, 1e300]), (0.1, [1e300, big])):
+                assert np.array_equal(modulus_of_continuity([v], spacing, hs), np.full(len(hs), v.max() - v.min()))
+        assert np.array_equal(_chords(1e300, 0.1, 8), np.full(9, 8))
+
+    def test_chords_keep_the_uncapped_bits_in_range(self):
+        def uncapped(h, spacing, half):
+            a = min(int(np.floor(h / spacing + 1e-12)), half)
+            dy = np.arange(a + 1)
+            chord2 = (h / spacing) ** 2 - dy * dy
+            return np.minimum(np.floor(np.sqrt(np.maximum(chord2, 0.0)) + 1e-12), half).astype(int)
+
+        for half in (0, 1, 2, 8, 64):
+            for spacing in (1e-3, 2 * np.pi / 16, 3.7):
+                ratios = np.concatenate([np.linspace(-1.0, 4.0 * half + 4.0, 301), [2.0 * half, 2.0 * half + 1e-9]])
+                for h in spacing * ratios:
+                    assert np.array_equal(_chords(h, spacing, half), uncapped(h, spacing, half))
 
     def test_sawtooth_wrap(self):
         n = 32
@@ -666,3 +704,23 @@ class TestExtrapolationSup:
         curve = KCurve(pair="seq", t_samples=np.array([t, 1.0]), k_values=np.ones(2))
         with pytest.raises(NonPositiveArgument, match="finite and > 0"):
             extrapolation_sup(curve, CONST, 2.0)
+
+    @pytest.mark.parametrize("p0", [1e308, 1.7e308])
+    def test_index_whose_log_r_passes_the_float_range(self, p0):
+        # -p0 log s overflowed ("overflow encountered in multiply")
+        curve = k_lp_linf(torus_field(rng.standard_normal((16, 16))), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidExponent, match=re.escape(f"p0 = {p0:g} takes log r")):
+                extrapolation_sup(curve, CONST, p0)
+
+
+def test_sup_finite_ratio_skips_vanishing_denominators_and_raises_on_overflow():
+    # a finite ratio that overflowed warned, then read as a norm of 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sup_finite_ratio(np.array([0.0, 1.0, 3.0, np.inf]), np.array([0.0, 0.0, 4.0, 1.0])) == 0.75
+        assert _sup_finite_ratio(np.array([0.0, 1.0]), np.zeros(2)) == 0.0
+        assert _sup_finite_ratio(np.array([1e300]), np.array([np.inf])) == 0.0
+        with pytest.raises(InvalidArgument, match="passes the float range"):
+            _sup_finite_ratio(np.array([1e300, 1.0]), np.array([1e-10, 2.0]))

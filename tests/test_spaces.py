@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from osgood.bands import decompose, thmve_equivalence_report, vishik_norm
 from osgood.biot import modulus_envelope
-from osgood.errors import NonPositiveArgument
+from osgood.errors import InvalidArgument, InvalidExponent, NonPositiveArgument
 from osgood.field import Domain, GridField, dyadic_bmo_norm, lp_norm, rearrange, sharp_maximal
 from osgood.growth import GrowthFunction
 from osgood.spaces import (
@@ -200,6 +201,32 @@ def test_default_p_grid_rises_above_p0(p0):
         assert np.array_equal(ps, np.geomspace(1.02 * p0, 512.0, 24))
     else:
         assert ps[-1] == pytest.approx(2.04 * p0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p0", [1e308, 1.7e308])
+def test_index_whose_grid_passes_the_float_range(p0):
+    # the grid's top 2.04 p0 overflowed and geomspace warned "invalid value
+    # encountered in multiply", in the grid and in both reports
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidExponent, match=re.escape(f"p0 = {p0:g} takes the exponent grid")):
+            default_p_grid(p0)
+        for norm in (yudovich_norm, sharp_yudovich_norm):
+            with pytest.raises(InvalidExponent, match=re.escape(f"p0 = {p0:g}")):
+                norm(random_field(8, seed=104), LINEAR, p0=p0)
+        ps = default_p_grid(8.7e307)  # its top 1.77e308 is finite
+        assert np.all(np.isfinite(ps)) and np.all(np.diff(ps) > 0.0)
+
+
+def test_a_form_past_the_float_range_is_a_typed_error():
+    # ||f||_p / 1e-10 overflowed with a warning, and then every form read 0.0
+    f = GridField(1e300 * np.random.default_rng(107).standard_normal((16, 16)))
+    g = GrowthFunction.constant(1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (yudovich_norm, sharp_yudovich_norm):
+            with pytest.raises(InvalidArgument, match="passes the float range"):
+                norm(f, g)
 
 
 @pytest.mark.parametrize("g", [CONST, LINEAR, QUADRATIC, GrowthFunction.log_power(1.0, (2.0,), shifted=True)])
