@@ -2,9 +2,12 @@
 
 The band filter is a radial smooth bump supported in the annulus
 3/4 < |xi| < 7/4 with value 1 on 7/8 < |xi| < 9/8, normalized so that its
-dyadic dilates sum to exactly 1 at every nonzero frequency.  The bands act
-on the integer wavenumber k of the grid on either domain; nonzero ones have
-|k| >= 1, so only bands j >= 0 carry content once the mean is split off.
+dyadic dilates sum to exactly 1 at every nonzero frequency.  The support is
+narrower than one doubling, so where the bump is nonzero only its two
+neighbouring dilates, at 2|xi| and |xi|/2, can be too: the normalization
+sums those three.  The bands act on the integer wavenumber k of the grid on
+either domain; nonzero ones have |k| >= 1, so only bands j >= 0 carry
+content once the mean is split off.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasRisk, HypothesisViolated, InvalidExponent
+from .errors import AliasRisk, HypothesisViolated
 from .field import Domain, GridField, _fourier_grid, lp_norm
 from .growth import GrowthFunction, _positive_theta, pclass_check, yudovich
-from .kfunc import BandSequence, _ratio, _sup_finite_ratio, k_seq
+from .kfunc import BandSequence, _band_weights, _ratio, _sup_finite_ratio, k_seq
 
 _SUPP_LO, _PLATEAU_LO, _PLATEAU_HI, _SUPP_HI = 0.75, 0.875, 1.125, 1.75
 _ALPHA_POINTS = 32  # the intermediate exponents of the equivalence report's alpha form
@@ -34,32 +37,29 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
 
 
 def _raw_bump(rho: np.ndarray) -> np.ndarray:
-    rho = np.minimum(np.asarray(rho, dtype=float), _SUPP_HI)  # 0 from there on; no ramp overflows
+    """The unnormalized bump: 0 off (3/4, 7/4), 1 on [7/8, 9/8]."""
     up = _smooth_step((rho - _SUPP_LO) / (_PLATEAU_LO - _SUPP_LO))
     down = 1.0 - _smooth_step((rho - _PLATEAU_HI) / (_SUPP_HI - _PLATEAU_HI))
     return up * down
 
 
 def band_profile(rho) -> np.ndarray:
-    """Normalized radial cutoff: dilates sum to 1 for every finite rho > 0,
-    and 0 at rho = inf.  np.ldexp scales by 2^-j exactly, never forming an
-    overflowing or underflowed 2^j."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    out = np.zeros_like(rho)
-    pos = (rho > 0) & (rho < np.inf)
-    if pos.any():
-        r = rho[pos]
-        total = np.zeros_like(r)
-        # only dilates within a factor 7/3 can overlap: +-2 around log2(rho)
-        j0 = np.floor(np.log2(r)).astype(int)
-        for dj in range(-2, 3):
-            total += _raw_bump(np.ldexp(r, -(j0 + dj)))
-        out[pos] = _raw_bump(r) / total
-    return out
+    """Normalized radial cutoff raw(rho) / (raw(2 rho) + raw(rho) + raw(rho/2))
+    where raw(rho) > 0, and 0 elsewhere: its dilates sum to 1 at every
+    finite rho > 0.  rho = 2^(j0 + f) meets the support (3/4, 7/4) only at
+    the dilates 2^-j0 and 2^-(j0 + 1), so no other dilate can add to the
+    sum.  rho is first capped at 4, past every support: inf and nan read
+    0, and 2 rho stays finite."""
+    rho = np.fmin(np.atleast_1d(np.asarray(rho, dtype=float)), 4.0)
+    raw = _raw_bump(rho)
+    total = _raw_bump(2.0 * rho) + raw + _raw_bump(rho / 2.0)
+    return np.divide(raw, total, out=np.zeros_like(raw), where=raw > 0.0)
 
 
 def _band_range(n: int) -> range:
-    """All j whose annulus meets some nonzero frequency of an n-point grid."""
+    """All j whose annulus meets some nonzero frequency of an n-point grid.
+    Each band has a nonzero multiplier on the grid: |k| = 1 lies in band 0,
+    and the corner |k| = n / sqrt 2 at rho = sqrt 2 of the top band."""
     return range(0, int(np.floor(np.log2(n / np.sqrt(2.0) / _SUPP_LO))) + 1)
 
 
@@ -111,10 +111,10 @@ def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
     spec = np.fft.rfft2(f.data - mean)
     # one band at a time, so temporaries stay at about one band's size
     bands = [(j, GridField(np.fft.irfft2(spec * mult, s=f.data.shape), f.domain))
-             for j, mult in zip(_band_range(n), _multipliers(n)) if mult.any()]
+             for j, mult in zip(_band_range(n), _multipliers(n))]
     # max |b| as max(max b, -min b), exact with no full-size temporary; abs turns -0.0 into 0.0
     sups = BandSequence(tuple((j, abs(max(float(b.data.max()), -float(b.data.min())))) for j, b in bands))
-    if warn_nyquist and bands:
+    if warn_nyquist:
         scale = max(float(np.abs(f.data).max()), 1e-300)
         risky = [j for j, sup in sups.entries if _SUPP_HI * 2.0 ** j > n / 2 and sup > 1e-12 * scale]
         if risky:
@@ -124,12 +124,10 @@ def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
 
 def besov_norm_seq(seq: BandSequence, beta):
     """sum over bands of 2^(j beta) sup |band|; a float for scalar beta, an
-    array shaped like beta otherwise.  A beta not finite raises
-    InvalidExponent."""
-    beta = np.asarray(beta, dtype=float)
-    if not np.isfinite(beta).all():
-        raise InvalidExponent(f"beta must be finite, got {beta[~np.isfinite(beta)][0]}")
-    out = np.sum(2.0 ** (seq.js * beta[..., None]) * seq.norms, axis=-1)
+    array shaped like beta otherwise.  A beta not finite, or taking a weight
+    2^(j beta) or the sum past the float range, raises InvalidExponent."""
+    norms = seq.norms
+    out = np.sum(_band_weights(seq.js, norms, beta, "beta") * norms, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -144,16 +142,16 @@ def vishik_norm(d: DyadicDecomposition | BandSequence, g: GrowthFunction, beta: 
     |xi| >= 1 once the mean is removed, so negative bands are empty.
     The sup is the largest finite ratio, 0.0 if none is.  Raises
     NonPositiveArgument if Pi(N) <= 0 for some N in that range, and
-    InvalidExponent for a beta not finite.
+    InvalidExponent for a beta not finite or taking a weight 2^(j beta) or
+    the sum past the float range.
     """
-    if not np.isfinite(beta):
-        raise InvalidExponent(f"beta must be finite, got {beta}")
     seq = d.band_norms() if isinstance(d, DyadicDecomposition) else d
+    js, norms = seq.js, seq.norms
+    weights = _band_weights(js, norms, beta, "beta")
     if not seq.entries:
         return 0.0
-    js, norms = seq.js, seq.norms
     pis = _positive_theta(g, np.arange(int(js.max()) + 1, dtype=float), "Pi", "the band norm")
-    terms = 2.0 ** (js * beta) * norms
+    terms = weights * norms
     # each partial summed afresh, not as a cumsum, whose order can move the last bit
     partials = np.array([terms[js <= N].sum() for N in range(len(pis))])
     return _sup_finite_ratio(partials, pis)

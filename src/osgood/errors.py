@@ -10,7 +10,7 @@ class NonPositiveArgument(OsgoodError):
 
 
 class SearchDivergence(OsgoodError):
-    """No interior or boundary minimum could be bracketed."""
+    """The Yudovich search found log Theta finite at no point of its grid."""
 
 
 class HypothesisViolated(OsgoodError):
@@ -22,7 +22,9 @@ class InvalidModulus(OsgoodError):
 
 
 class InvalidExponent(OsgoodError):
-    """Lebesgue exponent outside [1, inf] (or nan), a band exponent not finite, or a p0 past the float range."""
+    """Lebesgue exponent outside [1, inf] (or nan), a band exponent or index
+    kappa not finite or with a weight past the float range, or a p0 past
+    the float range."""
 
 
 class NonZeroMean(OsgoodError):

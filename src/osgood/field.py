@@ -332,8 +332,17 @@ def fefferman_stein_sharp(f: GridField) -> GridField:
     """Mean-oscillation maximal function sup_{Q: x in Q} avg_Q |f - avg_Q f|
     over dyadic cubes of side at least _MIN_SIDE = 4 cells.
 
-    Its global maximum is the (dyadic) BMO norm of the field.
+    Its global maximum is the (dyadic) BMO norm of the field.  2 sum |f|
+    bounds every sum and difference the mean oscillation forms; a field of
+    finite range for which it passes the float range raises InvalidField
+    before any level.  It is taken as 2 M sum(|f| / M), M = max |f|, which
+    does not overflow, once 2 M n^2 does.
     """
+    hi, lo = float(f.data.max()), float(f.data.min())
+    m = max(hi, -lo)
+    if hi - lo < np.inf and not 2.0 * m * f.data.size < np.inf:
+        if not 2.0 * m * float(np.sum(np.abs(f.data) / m)) < np.inf:
+            raise InvalidField("the field's cube sums pass the float range: 2 sum |f| is not finite")
     return _cube_sweep(f, _mean_oscillation, _MEAN_ROUNDING)
 
 

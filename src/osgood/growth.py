@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     HypothesisViolated,
     InvalidArgument,
+    InvalidExponent,
     InvalidModulus,
     NonPositiveArgument,
     SearchDivergence,
@@ -82,6 +83,8 @@ class GrowthFunction:
 
     def __post_init__(self):
         _require_positive("p0", self.p0)
+        if not self.p0 > _R_MIN:
+            raise InvalidExponent(f"p0 = {self.p0:g} is at most 2^-1024, where 1/p0 passes the float range")
         # Theta(p0) = +inf passes: the search reports an objective finite nowhere
         log_theta0 = float(self._eval(self.p0, None))
         if not log_theta0 > -math.inf:
@@ -424,8 +427,12 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     _quasi_decreasing_witness from p = 1/2; (iv) sum_{j>=N} 2^(-j kappa) Pi(j)
     <= C 2^(-N kappa) Pi(N) for the first _HEADS = 64 indices N, the tails
     summed over _TAIL_TERMS = 4000 terms.  Failures are report entries with
-    witnesses, never exceptions.
+    witnesses, never exceptions; only a kappa that takes some j kappa of the
+    tail past the float range (not finite, or above about 4.5e304) raises
+    InvalidExponent.
     """
+    if not abs((_TAIL_TERMS - 1) * float(kappa)) < math.inf:
+        raise InvalidExponent(f"kappa = {kappa} takes the tail's j kappa past the float range")
     passes, witness = {}, {}
     ps = np.concatenate([np.linspace(0.0, 4.0, 33), np.geomspace(4.0, 4096.0, 64)])
     log_vals = g.log_value(ps)

@@ -23,6 +23,7 @@ _H_POINTS = 48  # the h grid of the modulus of continuity
 _ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
 _T_GRID = np.geomspace(1e-6, 1e3, 64)  # the K curves' t samples unless a caller gives its own
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
+_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
 @dataclass(frozen=True)
@@ -239,12 +240,37 @@ def k_linf_lip(v: GridField | Sequence[GridField]) -> KCurve:
 
 # -- sequence pair (exact) ------------------------------------------------------
 
+def _band_weights(js: np.ndarray, norms: np.ndarray, s, name: str) -> np.ndarray:
+    """2^(j s) for each band index j of js (last axis) and each exponent s
+    (leading axes).  An s not finite, or one that takes some j s, some weight
+    or the sum of 2^(j s) norms_j past the float range, raises
+    InvalidExponent naming it (zero norms check the weights alone).  Each
+    is largest at the least or the greatest s, a sum of exponentials being
+    convex, and is checked there first in Python floats, where an overflow
+    is a silent inf, with a margin of 2^-40 for the order of numpy's sum:
+    numpy then forms no product, power or sum that overflows."""
+    s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise InvalidExponent(f"{name} must be finite, got {s[~np.isfinite(s)][0]}")
+    for e in (float(s.min()), float(s.max())) if s.size else ():
+        total = 0.0
+        for j, v in zip(js.tolist(), norms.tolist()):
+            x = j * e
+            total += 2.0 ** x * v if -np.inf < x < 1024.0 else np.inf
+        if not total * (1.0 + 2.0 ** -40) < np.inf:
+            raise InvalidExponent(
+                f"{name} = {e:g} takes the band weights 2^(j {name}) or their sum past the float range")
+    return 2.0 ** (js * s[..., None])
+
+
 def k_seq(seq: BandSequence, s0: float, s1: float, t):
     """Exact K for weighted little-l1 direct sums:
     sum_j min(2^(j s0), t 2^(j s1)) ||f_j||; a float for scalar t, an array
     shaped like t otherwise.  Each t must be >= 0 (t = inf is the L^s0 end);
     a nan or negative t raises NonPositiveArgument, and exponents other than
-    finite s0 < s1 raise InvalidExponent."""
+    finite s0 < s1, or with a weight past the float range, raise
+    InvalidExponent.  K(0) = 0 and K(inf) take no weight 2^(j s1), so they
+    are answered whatever s1 is."""
     if not seq.entries:
         raise EmptySequence("band sequence has no entries")
     if not -np.inf < s0 < s1 < np.inf:
@@ -253,8 +279,14 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise NonPositiveArgument(f"t must be >= 0, got {t[~(t >= 0.0)][0]}")
-    t = t[..., None]
-    out = np.sum(np.minimum(2.0 ** (js * s0), t * 2.0 ** (js * s1)) * norms, axis=-1)
+    low = _band_weights(js, norms, s0, "s0")
+    try:
+        high = _band_weights(js, np.zeros_like(norms), s1, "s1")
+    except InvalidExponent:
+        if np.any((t > 0.0) & (t < np.inf)):
+            raise
+        high = np.ones_like(js)  # any finite weight gives K(0) and K(inf) their bits
+    out = np.sum(np.minimum(low, t[..., None] * high) * norms, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -271,7 +303,9 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
     and no p0 overflows it: y is the p0 boundary value Theta(p0) r^(1/p0) =
     Theta(p0) / s where log r <= 0, and the Legendre transform of log r
     elsewhere.  Samples must be finite and > 0, and a p0 for which some
-    log r passes the float range raises InvalidExponent.
+    log r or some y passes the float range raises InvalidExponent, checked
+    before y is formed: Theta(p0) / s <= Theta(p0) where s >= 1, and log y
+    <= log of the float max where the exp is taken.
     """
     s = curve.t_samples
     if not np.all((s > 0.0) & (s < np.inf)):
@@ -282,9 +316,12 @@ def extrapolation_sup(curve: KCurve, g: GrowthFunction, p0: float) -> float:
         raise InvalidExponent(f"p0 = {p0:g} takes log r = -p0 log s past the float range")
     log_r = -p0 * log_s
     big = log_r > 0.0
-    y = gp(p0) / s
-    if big.any():
-        y[big] = np.exp(_legendre(gp, log_r[big])[0])
+    y = np.zeros_like(s)
+    y[~big] = gp(p0) / s[~big]
+    log_y = _legendre(gp, log_r[big])[0] if big.any() else np.empty(0)
+    if not (y.max() < np.inf and np.all(log_y <= _LOG_MAX)):
+        raise InvalidExponent(f"p0 = {p0:g} takes y(s^-p0) past the float range")
+    y[big] = np.exp(log_y)
     return _sup_finite_ratio(curve.k_values, s * y)
 
 

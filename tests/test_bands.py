@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from osgood.bands import (
+    _band_range,
     _partition_defect,
     _raw_bump,
     band_inequality_checks,
@@ -18,7 +19,7 @@ from osgood.bands import (
     vishik_norm,
 )
 from osgood.errors import AliasRisk, HypothesisViolated, InvalidExponent, NonPositiveArgument
-from osgood.field import Domain, GridField, dyadic_bmo_norm
+from osgood.field import Domain, GridField, _fourier_grid, dyadic_bmo_norm
 from osgood.growth import GrowthFunction
 from osgood.kfunc import BandSequence
 
@@ -70,11 +71,22 @@ class TestBandProfile:
 
     def test_float_range_ends_answer_without_warnings(self):
         # 2^(j0 + dj) once underflowed to 0 at rho = 5e-324 (divide by zero),
-        # overflowed at 1.7e308, and floor(log2(inf)) failed its int cast
+        # overflowed at 1.7e308, and floor(log2(inf)) failed its int cast;
+        # nan and the negatives read 0 as well
+        rho = [5e-324, 1e-310, 1.7e308, np.finfo(float).max, np.inf, np.nan, -1.0, -np.inf]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = band_profile(np.array([5e-324, 1e-310, 1.7e308, np.finfo(float).max, np.inf]))
-        assert np.array_equal(out, np.zeros(5))
+            out = band_profile(np.array(rho))
+        assert np.array_equal(out, np.zeros(len(rho)))
+
+    @pytest.mark.parametrize("n", [4 << i for i in range(10)])
+    def test_every_band_has_a_nonzero_multiplier(self, n):
+        # decompose keeps every j of _band_range(n), so no band may be empty;
+        # band j's multiplier is band_profile(|k| / 2^j) over the distinct |k|
+        k1, k2, _, _ = _fourier_grid(n, Domain.TORUS_2PI.side)
+        rho = np.unique(np.hypot(k1, k2))
+        for j in _band_range(n):
+            assert band_profile(rho / 2.0 ** j).any(), j
 
     def test_power_of_two_scaling_is_bit_identical(self):
         # the former division by 2.0 ** (j0 + dj), wherever that power is a

@@ -1,0 +1,98 @@
+"""Entries met with exponents, indices and samples at the ends of the float
+range.  Each case raises the stated OsgoodError, naming the argument at
+fault, or returns the stated finite value; Tier-1 turns every RuntimeWarning
+into an error, so none escapes.  The comment on each group says what it did
+before."""
+
+import numpy as np
+import pytest
+
+from osgood.bands import besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
+from osgood.errors import InvalidExponent, InvalidField, OsgoodError
+from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp
+from osgood.growth import GrowthFunction, pclass_check, yudovich
+from osgood.kfunc import extrapolation_sup, k_lp_linf, k_seq
+
+FIELD = GridField(np.random.default_rng(7).standard_normal((16, 16)))
+DECOMP = decompose(FIELD, warn_nyquist=False)
+SEQ = DECOMP.band_norms()
+AFFINE = GrowthFunction.power(1.0, p0=1.0, shift=1.0)
+LOG_POWER = GrowthFunction.log_power(1.0, (1.0,))
+CURVE = k_lp_linf(FIELD, 1.0)
+CONSTANT_1E308 = np.full((16, 16), 1e308)
+PEAKS_1E308 = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2 == 0, 1e308, 0.0)
+
+CASES = {
+    # 2^(j beta) overflowed ("power" at 1e300, "multiply" at +-1e308); the
+    # Vishik sup then skipped the inf partials and read the j = 0 ratio
+    "besov_norm_seq beta=1e300": (lambda: besov_norm_seq(SEQ, 1e300), InvalidExponent, "beta = 1e+300"),
+    "besov_norm_seq beta=1e308": (lambda: besov_norm_seq(SEQ, 1e308), InvalidExponent, "beta = 1e+308"),
+    "besov_norm_seq beta=-1e308": (lambda: besov_norm_seq(SEQ, -1e308), InvalidExponent, "beta = -1e+308"),
+    "besov_norm beta=1e300": (lambda: besov_norm(DECOMP, 1e300), InvalidExponent, "beta = 1e+300"),
+    "besov_norm beta=1e308": (lambda: besov_norm(DECOMP, 1e308), InvalidExponent, "beta = 1e+308"),
+    "vishik_norm beta=1e300": (lambda: vishik_norm(DECOMP, AFFINE, 1e300), InvalidExponent, "beta = 1e+300"),
+    "vishik_norm beta=1e308": (lambda: vishik_norm(DECOMP, AFFINE, 1e308), InvalidExponent, "beta = 1e+308"),
+    "thmve_equivalence_report beta=1e300": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 1e300, 1.0), InvalidExponent, "beta = 1e+300"),
+    # the weights are finite but 2^1023 |b_3| overflowed ("multiply")
+    "besov_norm_seq beta=341": (lambda: besov_norm_seq(SEQ, 1023.0 / 3), InvalidExponent, "beta = 341"),
+    "vishik_norm beta=341": (lambda: vishik_norm(SEQ, AFFINE, 1023.0 / 3), InvalidExponent, "beta = 341"),
+    # every weight 2^(-j 1e300) but j = 0's underflows to 0: the j = 0 band alone
+    "besov_norm_seq beta=-1e300": (lambda: besov_norm_seq(SEQ, -1e300), None, SEQ.norms[0]),
+    "vishik_norm beta=-1e300": (lambda: vishik_norm(SEQ, AFFINE, -1e300), None, SEQ.norms[0]),
+    # 2^(j s1) overflowed, and K(0) read 0 * inf = nan
+    "k_seq s1=1e301 t=0": (lambda: k_seq(SEQ, 0.0, 1e301, 0.0), None, 0.0),
+    "k_seq s1=1e301 t=inf": (lambda: k_seq(SEQ, 0.0, 1e301, np.inf), None, float(np.sum(SEQ.norms))),
+    "k_seq s1=1e301 t=1": (lambda: k_seq(SEQ, 0.0, 1e301, 1.0), InvalidExponent, "s1 = 1e+301"),
+    # -j kappa log 2 read inf * 0 = nan ("invalid") or overflowed, and a nan
+    # kappa passed into a report whose witness read "tail term 0 is nan"
+    "pclass_check kappa=inf": (lambda: pclass_check(AFFINE, np.inf), InvalidExponent, "kappa = inf"),
+    "pclass_check kappa=-inf": (lambda: pclass_check(AFFINE, -np.inf), InvalidExponent, "kappa = -inf"),
+    "pclass_check kappa=nan": (lambda: pclass_check(AFFINE, np.nan), InvalidExponent, "kappa = nan"),
+    "pclass_check kappa=1.7e308": (lambda: pclass_check(AFFINE, 1.7e308), InvalidExponent, "kappa = 1.7e+308"),
+    "thmve_equivalence_report kappa=inf": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, np.inf), InvalidExponent, "kappa = inf"),
+    "thmve_equivalence_report kappa=-inf": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, -np.inf), InvalidExponent, "kappa = -inf"),
+    "thmve_equivalence_report kappa=1.7e308": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 1.7e308), InvalidExponent, "kappa = 1.7e+308"),
+    # the Yudovich hull's 1/p overflowed
+    "yudovich p0=5e-324": (
+        lambda: yudovich(GrowthFunction.power(1.0, p0=5e-324), 10.0), InvalidExponent, "p0 = 4.94066e-324"),
+    # the block mean's sum overflowed, then the output named "samples must be finite"
+    "dyadic_bmo_norm constant 1e308": (
+        lambda: dyadic_bmo_norm(GridField(CONSTANT_1E308)), InvalidField, "cube sums pass the float range"),
+    "dyadic_bmo_norm peaks 1e308": (
+        lambda: dyadic_bmo_norm(GridField(PEAKS_1E308)), InvalidField, "cube sums pass the float range"),
+    "fefferman_stein_sharp constant 1e308": (
+        lambda: fefferman_stein_sharp(GridField(CONSTANT_1E308)), InvalidField, "cube sums pass the float range"),
+    "fefferman_stein_sharp peaks 1e308": (
+        lambda: fefferman_stein_sharp(GridField(PEAKS_1E308)), InvalidField, "cube sums pass the float range"),
+    # Theta(p0) / s overflowed at 1e300; exp(log y) at 1.2e307, then the form read 0.0
+    "extrapolation_sup log-power p0=1e300": (
+        lambda: extrapolation_sup(CURVE, LOG_POWER, 1e300), InvalidExponent, "p0 = 1e+300"),
+    "extrapolation_sup log-power p0=1.2e307": (
+        lambda: extrapolation_sup(CURVE, LOG_POWER, 1.2e307), InvalidExponent, "p0 = 1.2e+307"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_float_range_case(case):
+    call, error, expect = CASES[case]
+    if error is None:
+        assert call() == expect
+    else:
+        assert issubclass(error, OsgoodError)
+        with pytest.raises(error) as info:
+            call()
+        assert expect in str(info.value)
+
+
+def test_finite_band_weights_keep_their_bits():
+    # the weight check runs ahead of the old arithmetic, which is unchanged
+    js, norms = SEQ.js, SEQ.norms
+    for beta in (-3.0, 0.0, 1.0, 1000.0 / js.max()):
+        assert besov_norm_seq(SEQ, beta) == float(np.sum(2.0 ** (js * beta) * norms))
+    t = np.array([0.0, 1e-3, 1.0, np.inf])
+    expect = np.sum(np.minimum(2.0 ** (js * 0.5), t[:, None] * 2.0 ** (js * 1.5)) * norms, axis=-1)
+    assert np.array_equal(k_seq(SEQ, 0.5, 1.5, t), expect)
