@@ -20,7 +20,7 @@ import numpy as np
 from . import spaces
 from .bands import besov_norm, decompose, vishik_norm
 from .errors import InvalidArgument, InvalidExponent, NonPositiveArgument, NonZeroMean
-from .field import GridField, _fourier_grid
+from .field import GridField, _fourier_grid, rearrange, sharp_maximal
 from .growth import _R_MIN, GrowthFunction, theta1, yudovich
 from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
 
@@ -88,18 +88,17 @@ class ModulusEnvelope:
     norm_choice: str
 
 
-def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float, lift: bool = True) -> np.ndarray:
-    """h * y(1/h) * norm with y taken for the lifted growth p * Theta(p).
-    NonPositiveArgument unless norm_reference is finite and >= 0 and each h
-    is finite and > 2^-1024, the least h whose 1/h is finite."""
+def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float) -> np.ndarray:
+    """h * y(1/h) * N, y the Yudovich function of g as given (the caller lifts
+    it) and N = norm_reference: NonPositiveArgument unless N is finite and >= 0
+    and each h is finite and > 2^-1024, the least h whose 1/h is finite."""
     if not (math.isfinite(norm_reference) and norm_reference >= 0.0):
         raise NonPositiveArgument(f"norm_reference must be finite and >= 0, got {norm_reference}")
-    gg = theta1(g) if lift else g
     hs = np.asarray(h_samples, dtype=float)
     ok = (hs > _R_MIN) & (hs < np.inf)
     if not ok.all():
         raise NonPositiveArgument(f"h must be finite and > 0, with 1/h finite, got {hs[~ok][0]}")
-    return hs * yudovich(gg, 1.0 / hs) * norm_reference
+    return hs * yudovich(g, 1.0 / hs) * norm_reference
 
 
 def modulus_envelope(
@@ -109,21 +108,20 @@ def modulus_envelope(
     norm_choice: str = "sharp_yudovich",
     velocity: tuple[GridField, GridField] | None = None,
 ) -> ModulusEnvelope:
-    """Measured velocity modulus against the growth-indexed envelope.
-
-    The envelope is h * y(1/h) * N with y from the lifted growth when the
-    oscillation-side norm is chosen (the classical pairing) and from the
-    growth itself when the band-side norm is chosen; N, taken before any
-    velocity work, is sharp_yudovich_norm's direct value at its fixed p0 = 4
-    and lambda = 1/4, or the Vishik plus Besov band sums.  fitted_c is the
-    smallest constant making the envelope dominate the measured modulus on
-    the sample set: the 48-point h grid from the grid spacing to half the side.
+    """Measured velocity modulus against the envelope envelope_curve(gy, h, N),
+    N taken before any velocity work.  In the classical "sharp_yudovich"
+    pairing N is sup_p ||M omega||_p / Theta(p) over default_p_grid(4), M the
+    sharp maximal function at lambda = 1/4 (sharp_yudovich_norm's direct value
+    alone), and gy the lifted growth p * Theta(p); for "vishik", N is the
+    Vishik plus Besov band sums and gy = g.  fitted_c is the smallest constant
+    making the envelope dominate the measured modulus on the sample set: the
+    48-point h grid from the grid spacing to half the side.
     """
     if norm_choice == "sharp_yudovich":
-        norm_ref = spaces.sharp_yudovich_norm(omega, g).direct_value
+        norm_ref, gy = spaces._direct(rearrange(sharp_maximal(omega)), g, spaces._SHARP_P0), theta1(g)
     elif norm_choice == "vishik":
         d = decompose(omega, warn_nyquist=False)
-        norm_ref = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0)
+        norm_ref, gy = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0), g
     else:
         raise InvalidArgument(f"unknown norm choice {norm_choice!r}")
     if velocity is None:
@@ -131,7 +129,7 @@ def modulus_envelope(
     v1, v2 = velocity
     hs = _h_grid(v1)
     measured = modulus_of_continuity([v1.data, v2.data], v1.spacing, hs)
-    env = envelope_curve(g, hs, norm_ref, lift=norm_choice == "sharp_yudovich")
+    env = envelope_curve(gy, hs, norm_ref)
     return ModulusEnvelope(
         h_samples=hs, measured=measured, envelope=env,
         fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref, norm_choice=norm_choice,

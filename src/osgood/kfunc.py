@@ -9,7 +9,7 @@ and are equivalences up to absorbed constants, never equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .growth import GrowthFunction, _legendre, _require_positive, _with_p0
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
 _ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
-_T_GRID = np.geomspace(1e-6, 1e3, 64)  # the K curves' t samples unless a caller gives its own
+_T_GRID = np.geomspace(1e-6, 1e3, 64)  # the field K curves' t samples
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
 _LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
@@ -94,23 +94,20 @@ def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
     return KCurve(pair=f"Lp_Linf(p0={p0:g})", t_samples=t, k_values=k)
 
 
-def k_lp_linf(f: GridField, p0: float, t_grid=_T_GRID) -> KCurve:
-    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on t_grid, by default
-    _T_GRID (64 points geometric on [1e-6, 1e3]); exact for p0 = 1."""
-    return k_lp_linf_profile(rearrange(f), p0, t_grid)
+def k_lp_linf(f: GridField, p0: float) -> KCurve:
+    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on _T_GRID (64 points
+    geometric on [1e-6, 1e3]), exact for p0 = 1; k_lp_linf_profile takes any t."""
+    return k_lp_linf_profile(rearrange(f), p0, _T_GRID)
 
 
 # -- (L^p0, BMO) ---------------------------------------------------------------
 
-def k_lp_bmo(f: GridField, p0: float, t_grid=_T_GRID) -> KCurve:
-    """Oscillation-pair surrogate built from the trimmed-oscillation maximal
-    function at the fixed lambda = _LAMBDA = 1/4 (in params); constants are
-    absorbed, so the curve is an equivalent of the true K, not an equality."""
-    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, t_grid)
-    return KCurve(
-        pair=f"Lp_BMO(p0={p0:g})", t_samples=curve.t_samples, k_values=curve.k_values,
-        params={"lambda": _LAMBDA, "surrogate": "trimmed-oscillation"},
-    )
+def k_lp_bmo(f: GridField, p0: float) -> KCurve:
+    """Oscillation-pair surrogate on _T_GRID built from the trimmed-oscillation
+    maximal function at the fixed lambda = _LAMBDA = 1/4 (in params); constants
+    are absorbed, so the curve is an equivalent of the true K, not an equality."""
+    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, _T_GRID)
+    return replace(curve, pair=f"Lp_BMO(p0={p0:g})", params={"lambda": _LAMBDA, "surrogate": "trimmed-oscillation"})
 
 
 # -- (L^inf, Lip) ---------------------------------------------------------------
@@ -270,7 +267,8 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t):
     a nan or negative t raises NonPositiveArgument, and exponents other than
     finite s0 < s1, or with a weight past the float range, raise
     InvalidExponent.  K(0) = 0 and K(inf) take no weight 2^(j s1), so they
-    are answered whatever s1 is."""
+    are answered whatever s1 is, and a product t 2^(j s1) past the floats,
+    or inf * 0 (an underflowed weight at t = inf), reads as the 2^(j s0) term."""
     if not seq.entries:
         raise EmptySequence("band sequence has no entries")
     if not -np.inf < s0 < s1 < np.inf:
@@ -286,7 +284,8 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t):
         if np.any((t > 0.0) & (t < np.inf)):
             raise
         high = np.ones_like(js)  # any finite weight gives K(0) and K(inf) their bits
-    out = np.sum(np.minimum(low, t[..., None] * high) * norms, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan products: fmin takes the s0 term
+        out = np.sum(np.fmin(low, t[..., None] * high) * norms, axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -20,6 +20,7 @@ from .growth import GrowthFunction, _positive_theta, _require_positive, _with_p0
 from .kfunc import _T_GRID, _ratio, _sup_finite_ratio, extrapolation_sup, k_lp_linf_profile
 
 _P_HI, _P_POINTS = 512.0, 24  # the direct sup's exponent grid
+_SHARP_P0 = 4.0  # the sharp norm's index unless given, and the velocity envelope's
 
 
 def default_p_grid(p0: float) -> np.ndarray:
@@ -54,14 +55,11 @@ class NormReport:
         return {f"{a}/{b}": _ratio(vals[a], vals[b]) for a in vals for b in vals if a < b}
 
 
-def _direct_and_k(prof: RearrangementProfile, g: GrowthFunction, p0: float) -> tuple[float, float]:
-    """The two forms both reports take from prof, the rearrangement of the
-    field or of its maximal function: the direct sup of ||.||_p / Theta(p)
-    over default_p_grid(p0), and the K form over kfunc._T_GRID (64 points
-    on [1e-6, 1e3])."""
+def _direct(prof: RearrangementProfile, g: GrowthFunction, p0: float) -> float:
+    """The direct sup of ||.||_p / Theta(p) over default_p_grid(p0) on prof,
+    the rearrangement of the field or of its maximal function."""
     ps = default_p_grid(p0)
-    direct = _sup_finite_ratio(np.array([prof.lp(p) for p in ps.tolist()]), g(ps))
-    return direct, extrapolation_sup(k_lp_linf_profile(prof, p0, _T_GRID), g, p0)
+    return _sup_finite_ratio(np.array([prof.lp(p) for p in ps.tolist()]), g(ps))
 
 
 def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormReport:
@@ -72,7 +70,8 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     plateau.
     """
     prof = rearrange(f)
-    direct, char_k = _direct_and_k(prof, g, p0)
+    direct = _direct(prof, g, p0)
+    char_k = extrapolation_sup(k_lp_linf_profile(prof, p0, _T_GRID), g, p0)
     ts = np.geomspace(max(prof.cell_measure / 4.0, 1e-14), 1.0 - 1e-9, 160)
     ys = yudovich(_with_p0(g, p0), 1.0 / ts)
     dd = prof.double_star(ts)
@@ -87,10 +86,10 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     )
 
 
-def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0) -> NormReport:
-    """Oscillation-side norm sup_p ||M f||_p / Theta(p), p0 = 4 unless given,
-    built on the trimmed local-oscillation maximal function M at the fixed
-    lambda = _LAMBDA = 1/4, with the p0-free rearrangement form
+def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = _SHARP_P0) -> NormReport:
+    """Oscillation-side norm sup_p ||M f||_p / Theta(p), p0 = _SHARP_P0 = 4
+    unless given, built on the trimmed local-oscillation maximal function M
+    at the fixed lambda = _LAMBDA = 1/4, with the p0-free rearrangement form
     sup_{t < 1/e} (M f)*(t) / Theta(-log t) on 80 points and the
     K-functional form over the oscillation pair.  Raises NonPositiveArgument
     if Theta(-log t) <= 0 at a sample, as for an unshifted log power at p = 1.
@@ -98,7 +97,8 @@ def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 4.0) -> Nor
     ts = np.geomspace(max(f.cell_measure / 4.0, 1e-14), math.exp(-1.0), 80)
     thetas = _positive_theta(g, -np.log(ts), "Theta", "the rearrangement form")
     prof = rearrange(sharp_maximal(f))
-    direct, char_k = _direct_and_k(prof, g, p0)
+    direct = _direct(prof, g, p0)
+    char_k = extrapolation_sup(k_lp_linf_profile(prof, p0, _T_GRID), g, p0)
     char_rearr = _sup_finite_ratio(prof.star(ts), thetas)
     return NormReport(
         space="sharp_yudovich", direct_value=direct, char_k=char_k,

@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from osgood import biot
+from osgood import biot, kfunc, spaces
 from osgood.bands import spectral_gradient
 from osgood.biot import biot_savart, curl, divergence_defect, envelope_curve, modulus_envelope
 from osgood.errors import InvalidExponent, NonPositiveArgument, NonZeroMean
-from osgood.field import Domain, GridField, _fourier_grid
-from osgood.growth import GrowthFunction
-from osgood.spaces import sharp_yudovich_norm
+from osgood.field import Domain, GridField, _fourier_grid, lp_norm, sharp_maximal
+from osgood.growth import GrowthFunction, theta1
+from osgood.spaces import default_p_grid, sharp_yudovich_norm
+
+LIFTED = theta1(GrowthFunction.power(1.0))  # the growth p^2 the sharp pairing gives envelope_curve
 
 
 def full_spectrum_vorticity(n, seed):
@@ -145,11 +147,31 @@ def test_envelope_norm_is_the_sharp_report_and_comes_first(monkeypatch):
         modulus_envelope(w, 0.0, g, norm_choice="vishik")
 
 
+@pytest.mark.parametrize("domain", [Domain.UNIT_TORUS, Domain.TORUS_2PI])
+@pytest.mark.parametrize("g", [GrowthFunction.log_power(1.0, (1.0,)), GrowthFunction.log_power(1.0, (2.0,), p0=3.0)],
+                         ids=["p log p", "p log^2 p"])
+def test_envelope_on_log_power_growths_takes_the_direct_sup_alone(monkeypatch, domain, g):
+    # Theta(1) = 0 for both: the envelope once built the whole sharp report,
+    # whose rearrangement form raised NonPositiveArgument, to read one value
+    def unread(*args, **kwargs):
+        raise AssertionError("the envelope built a norm form it does not read")
+
+    for module in (spaces, kfunc):
+        monkeypatch.setattr(module, "extrapolation_sup", unread)
+    monkeypatch.setattr(spaces, "sharp_yudovich_norm", unread)
+    w = full_spectrum_vorticity(16, seed=7).as_domain(domain)
+    env = modulus_envelope(w, 0.0, g)
+    assert np.isfinite(env.envelope).all() and np.isfinite(env.fitted_c)
+    # N = sup_p ||M w||_p / Theta(p) over the sharp index p0 = 4's exponents
+    m = sharp_maximal(w)
+    assert env.norm_reference == max(lp_norm(m, p) / float(g(p)) for p in default_p_grid(4.0).tolist())
+
+
 @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, [0.5, 0.0]])
 def test_envelope_curve_needs_finite_positive_h(h):
     # h = 0 once warned "divide by zero" in 1 / h
     with pytest.raises(NonPositiveArgument, match="h must be finite and > 0"):
-        envelope_curve(GrowthFunction.power(1.0), h, 1.0)
+        envelope_curve(LIFTED, h, 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -157,19 +179,18 @@ def test_envelope_curve_needs_finite_positive_h(h):
 def test_envelope_curve_needs_finite_nonnegative_norm(norm):
     # nan and -inf came back as nan and -inf envelopes, -1 as a negative one
     with pytest.raises(NonPositiveArgument, match="norm_reference must be finite and >= 0"):
-        envelope_curve(GrowthFunction.power(1.0), [0.1, 1.0], norm)
-    assert np.array_equal(envelope_curve(GrowthFunction.power(1.0), [0.1, 1.0], 0.0), [0.0, 0.0])
+        envelope_curve(LIFTED, [0.1, 1.0], norm)
+    assert np.array_equal(envelope_curve(LIFTED, [0.1, 1.0], 0.0), [0.0, 0.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_envelope_curve_h_whose_reciprocal_overflows():
     # 1 / 5e-324 warned "overflow encountered in divide"; 1/h is finite
     # exactly for h > 2^-1024
-    g = GrowthFunction.power(1.0)
     for h in (5e-324, 2.0**-1024):
         with pytest.raises(NonPositiveArgument, match="1/h finite"):
-            envelope_curve(g, [h, 0.5], 1.0)
-    assert np.isfinite(envelope_curve(g, np.nextafter(2.0**-1024, 1.0), 1.0)).all()
+            envelope_curve(LIFTED, [h, 0.5], 1.0)
+    assert np.isfinite(envelope_curve(LIFTED, np.nextafter(2.0**-1024, 1.0), 1.0)).all()
 
 
 def test_default_h_samples_follow_the_domain():

@@ -1,6 +1,7 @@
 """tools/design_metrics.py on a small package written to a temporary folder,
 with a perfbench/ folder next to its src/, as in the repository: every
-column of the table, and the test-only names printed under it."""
+column of the table, and the settable options and test-only names printed
+under it."""
 
 import contextlib
 import importlib.util
@@ -100,8 +101,8 @@ class Plain:
 
 
 def run_tool(root, modules):
-    """(rows by module as {column: value}, the test-only line) for a package
-    of these modules under root/src/pkg."""
+    """(rows by module as {column: value}, the lines under the table as
+    {label: names}) for a package of these modules under root/src/pkg."""
     package = root / "src" / "pkg"
     package.mkdir(parents=True)
     for name, text in modules.items():
@@ -114,11 +115,11 @@ def run_tool(root, modules):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert tool.main(["design_metrics.py", str(package)]) == 0
-    rows, test_only = out.getvalue().split("\n\n")
+    rows, under = out.getvalue().split("\n\n")
     header, *rows = rows.splitlines()
     assert header.split() == ["module", *tool.COLUMNS]
     table = {r.split()[0]: dict(zip(tool.COLUMNS, map(int, r.split()[1:]))) for r in rows}
-    return table, test_only.strip()
+    return table, dict(line.split(": ", 1) for line in under.strip().splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +160,27 @@ def test_errstate_blocks(report):
 
 def test_test_only_names_are_reached_from_nowhere_else(report):
     # LIMIT is read by used, used and Model by caller, the rest by perfbench's strings
-    table, test_only = report
+    table, under = report
     assert column(table, "test-only") == {
         "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 1, "opts.py": 0, "total": 1,
     }
-    assert test_only == "test-only names: names.orphan"
+    assert under["test-only names"] == "names.orphan"
 
 
 def test_options_count_defaulted_dataclass_fields(tmp_path):
     table, _ = run_tool(tmp_path, {"__init__.py": "", "records.py": RECORDS})
     assert column(table, "options") == {"__init__.py": 0, "records.py": 3, "total": 3}
+
+
+def test_settable_options_are_named_under_the_table(report, tmp_path):
+    # one name per counted option, a method's and a nested def's under their
+    # enclosing names, a dataclass field's under its class
+    table, under = report
+    names = under["settable options"].split(", ")
+    assert names == [
+        "opts.positional.b", "opts.positional.c", "opts.keyword_only.b",
+        "opts.Holder.method.d", "opts.Holder.method.inner.e",
+    ]
+    assert len(names) == table["total"]["options"]
+    _, under = run_tool(tmp_path, {"__init__.py": "", "records.py": RECORDS})
+    assert under["settable options"] == "records.Point.y, records.Point.tags, records.Flag.on"

@@ -4,14 +4,17 @@ fault, or returns the stated finite value; Tier-1 turns every RuntimeWarning
 into an error, so none escapes.  The comment on each group says what it did
 before."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from osgood.bands import besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
+from osgood.biot import envelope_curve
 from osgood.errors import InvalidExponent, InvalidField, OsgoodError
 from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp
-from osgood.growth import GrowthFunction, pclass_check, yudovich
-from osgood.kfunc import extrapolation_sup, k_lp_linf, k_seq
+from osgood.growth import GrowthFunction, pclass_check, theta1, yudovich
+from osgood.kfunc import BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_seq
 
 FIELD = GridField(np.random.default_rng(7).standard_normal((16, 16)))
 DECOMP = decompose(FIELD, warn_nyquist=False)
@@ -21,6 +24,18 @@ LOG_POWER = GrowthFunction.log_power(1.0, (1.0,))
 CURVE = k_lp_linf(FIELD, 1.0)
 CONSTANT_1E308 = np.full((16, 16), 1e308)
 PEAKS_1E308 = np.where(np.add.outer(np.arange(16), np.arange(16)) % 2 == 0, 1e308, 0.0)
+TWO_BANDS = BandSequence(((0, 1e-10), (3, 1e-10)))
+BETA_EDGE = 1023.0 / 3 - 1e-9  # 2^(3 beta) is finite, t 2^(3 beta) is not for t above 2
+
+
+def exact_k_form(seq, g, beta, kappa):
+    """thmve_equivalence_report's K form, sup_t K(t) / (t y(1/t)) over its 96
+    t, with the sequence K summed in Python floats, where a product past the
+    floats is a silent inf and min keeps the 2^(j (beta - kappa)) term."""
+    ts = np.geomspace(2.0 ** (-(int(seq.js.max()) + 3) * kappa), 8.0, 96)
+    k = [sum(min(2.0 ** (j * (beta - kappa)), t * 2.0 ** (j * beta)) * v for j, v in seq.entries) for t in ts.tolist()]
+    return _sup_finite_ratio(np.array(k), ts * yudovich(g, 1.0 / ts))
+
 
 CASES = {
     # 2^(j beta) overflowed ("power" at 1e300, "multiply" at +-1e308); the
@@ -44,6 +59,13 @@ CASES = {
     "k_seq s1=1e301 t=0": (lambda: k_seq(SEQ, 0.0, 1e301, 0.0), None, 0.0),
     "k_seq s1=1e301 t=inf": (lambda: k_seq(SEQ, 0.0, 1e301, np.inf), None, float(np.sum(SEQ.norms))),
     "k_seq s1=1e301 t=1": (lambda: k_seq(SEQ, 0.0, 1e301, 1.0), InvalidExponent, "s1 = 1e+301"),
+    # t 2^(j s1) overflowed ("multiply"), or read inf * 0 = nan ("invalid")
+    # where 2^(j s1) underflowed; each such term is the 2^(j s0) one
+    "k_seq t=1.7e308": (lambda: k_seq(SEQ, 0.0, 1.0, 1.7e308), None, float(np.sum(SEQ.norms))),
+    "k_seq s1=-1500 t=inf": (lambda: k_seq(SEQ, -2000.0, -1500.0, np.inf), None, SEQ.norms[0]),
+    "thmve_equivalence_report beta=341-1e-9": (
+        lambda: thmve_equivalence_report(TWO_BANDS, AFFINE, BETA_EDGE, 1.0).k_form, None,
+        exact_k_form(TWO_BANDS, AFFINE, BETA_EDGE, 1.0)),
     # -j kappa log 2 read inf * 0 = nan ("invalid") or overflowed, and a nan
     # kappa passed into a report whose witness read "tail term 0 is nan"
     "pclass_check kappa=inf": (lambda: pclass_check(AFFINE, np.inf), InvalidExponent, "kappa = inf"),
@@ -96,3 +118,28 @@ def test_finite_band_weights_keep_their_bits():
     t = np.array([0.0, 1e-3, 1.0, np.inf])
     expect = np.sum(np.minimum(2.0 ** (js * 0.5), t[:, None] * 2.0 ** (js * 1.5)) * norms, axis=-1)
     assert np.array_equal(k_seq(SEQ, 0.5, 1.5, t), expect)
+
+
+# the hostile float values, one argument at a time, the others ordinary
+HOSTILE = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300, 5e-324, 1e300, 1.7e308, 120.0, 0.5, 2.0]
+LIFTED = theta1(GrowthFunction.power(1.0))
+SWEEP = {
+    "k_seq s0": lambda x: k_seq(SEQ, x, 1.5, 1.0),
+    "k_seq s1": lambda x: k_seq(SEQ, 0.5, x, 1.0),
+    "k_seq t": lambda x: k_seq(SEQ, 0.5, 1.5, x),
+    "envelope_curve h": lambda x: envelope_curve(LIFTED, [x], 1.0),
+    "envelope_curve norm_reference": lambda x: envelope_curve(LIFTED, [0.1, 1.0], x),
+}
+
+
+@pytest.mark.parametrize("value", HOSTILE)
+@pytest.mark.parametrize("entry", SWEEP)
+def test_hostile_value_gives_a_finite_result_or_a_typed_error(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("default", UserWarning)
+        try:
+            out = SWEEP[entry](value)
+        except OsgoodError:
+            return
+    assert np.isfinite(out).all()

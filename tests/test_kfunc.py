@@ -72,7 +72,7 @@ class TestKLpLinf:
         n = 16
         data = np.zeros((n, n))
         data.flat[: n * n // 4] = 1.0  # measure 1/4
-        curve = k_lp_linf(unit_field(data), 1.0, np.geomspace(1e-3, 10.0, 40))
+        curve = k_lp_linf_profile(rearrange(unit_field(data)), 1.0, np.geomspace(1e-3, 10.0, 40))
         expect = np.minimum(curve.t_samples, 0.25)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
         curve.check_shape(concave_slack=0.0)
@@ -85,20 +85,20 @@ class TestKLpLinf:
 
     def test_constant_field(self):
         c, p0 = 3.0, 2.0
-        curve = k_lp_linf(unit_field(np.full((8, 8), c)), p0, np.geomspace(1e-2, 10.0, 30))
+        curve = k_lp_linf_profile(rearrange(unit_field(np.full((8, 8), c))), p0, np.geomspace(1e-2, 10.0, 30))
         expect = c * np.minimum(curve.t_samples**p0, 1.0) ** (1.0 / p0)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
 
     def test_prefix_sum_identity_p0_1(self):
         f = unit_field(rng.standard_normal((64, 64)))
         prof = rearrange(f)
-        curve = k_lp_linf(f, 1.0, np.geomspace(1e-4, 10.0, 30))
+        curve = k_lp_linf_profile(prof, 1.0, np.geomspace(1e-4, 10.0, 30))
         assert np.allclose(curve.k_values, prof.integral(curve.t_samples), rtol=1e-14)
 
     def test_log_power_small_t_band(self):
         # oracle: quadrature of the clamped radial profile's rearrangement
         n = 512
-        curve = k_lp_linf(log_power_field(n), 1.0, np.geomspace(1e-4, 1e-1, 30))
+        curve = k_lp_linf_profile(rearrange(log_power_field(n)), 1.0, np.geomspace(1e-4, 1e-1, 30))
         s = curve.t_samples
         ratios = curve.k_values / (s * (1.0 - np.log(s)) ** 2)
         assert ratios.max() / ratios.min() < 3.0
@@ -107,9 +107,9 @@ class TestKLpLinf:
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
         t = np.geomspace(1e-3, 10.0, 25)
-        ka = k_lp_linf(unit_field(a), 1.0, t).k_values
-        kb = k_lp_linf(unit_field(b), 1.0, t).k_values
-        kab = k_lp_linf(unit_field(a + b), 1.0, t).k_values
+        ka = k_lp_linf_profile(rearrange(unit_field(a)), 1.0, t).k_values
+        kb = k_lp_linf_profile(rearrange(unit_field(b)), 1.0, t).k_values
+        kab = k_lp_linf_profile(rearrange(unit_field(a + b)), 1.0, t).k_values
         assert np.all(kab <= ka + kb + 1e-12)
 
     @pytest.mark.parametrize("domain", [Domain.TORUS_2PI, Domain.UNIT_TORUS])
@@ -148,8 +148,8 @@ class TestKLpLinf:
         for _ in range(3):
             f = unit_field(rng.standard_normal((32, 32)))
             # p0 > 1 is a surrogate: concave only within equivalence slack
-            k_lp_linf(f, 1.5, np.geomspace(1e-4, 100.0, 40)).check_shape()
-            k_lp_linf(f, 1.0, np.geomspace(1e-4, 100.0, 40)).check_shape(concave_slack=0.0)
+            k_lp_linf_profile(rearrange(f), 1.5, np.geomspace(1e-4, 100.0, 40)).check_shape()
+            k_lp_linf_profile(rearrange(f), 1.0, np.geomspace(1e-4, 100.0, 40)).check_shape(concave_slack=0.0)
 
 
 class TestKLpBmo:
@@ -163,14 +163,14 @@ class TestKLpBmo:
         data[: n // 2] = 1.0
         f = unit_field(data)
         p0 = 2.0
-        curve = k_lp_bmo(f, p0, np.geomspace(1e-2, 100.0, 40))
+        curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, np.geomspace(1e-2, 100.0, 40))
         plateau = lp_norm(sharp_maximal(f), p0)
         assert curve.k_values[-1] == pytest.approx(plateau, rel=1e-12)
 
     def test_bmo_prototype_slope_bounded(self):
         # K(t)/t tends to the max of the trimmed-oscillation field as t -> 0
         f = log_power_field(128, alpha=0.0)
-        curve = k_lp_bmo(f, 2.0, np.geomspace(1e-6, 1.0, 40))
+        curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), 2.0, np.geomspace(1e-6, 1.0, 40))
         slopes = curve.k_values / curve.t_samples
         cap = sharp_maximal(f).data.max()
         assert slopes[0] == pytest.approx(cap, rel=1e-9)
@@ -640,7 +640,7 @@ class TestExtrapolationSup:
         # flat growth: the sup is comparable to max(Lp0 norm, sup norm)
         f = unit_field(np.abs(rng.standard_normal((64, 64))) + 0.5)
         p0 = 2.0
-        curve = k_lp_linf(f, p0, np.geomspace(1e-8, 1e6, 120))
+        curve = k_lp_linf_profile(rearrange(f), p0, np.geomspace(1e-8, 1e6, 120))
         val = extrapolation_sup(curve, CONST, p0)
         lo = max(lp_norm(f, p0), lp_norm(f, np.inf))
         assert 0.4 * lo <= val <= 2.0 * (lp_norm(f, p0) + lp_norm(f, np.inf))
@@ -652,7 +652,7 @@ class TestExtrapolationSup:
         quad_vals, lin_vals = [], []
         for n in (128, 256, 512):
             f = log_power_field(n)
-            curve = k_lp_linf(f, 1.0, np.geomspace(1e-7, 0.3, 80))
+            curve = k_lp_linf_profile(rearrange(f), 1.0, np.geomspace(1e-7, 0.3, 80))
             quad_vals.append(extrapolation_sup(curve, GrowthFunction.power(2.0, p0=1.0), 1.0))
             lin_vals.append(extrapolation_sup(curve, GrowthFunction.power(1.0, p0=1.0), 1.0))
         quad_vals, lin_vals = np.asarray(quad_vals), np.asarray(lin_vals)

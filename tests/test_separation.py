@@ -26,7 +26,7 @@ import pytest
 
 from osgood.biot import biot_savart, envelope_curve, modulus_envelope
 from osgood.field import Domain, GridField
-from osgood.growth import GrowthFunction
+from osgood.growth import GrowthFunction, theta1
 
 N, PAIRS, STEPS = 32, 50, 200
 
@@ -105,7 +105,7 @@ def test_separation_stays_below_the_osgood_comparison(domain, alpha):
     step_above = np.append(measured, oscillation)[np.searchsorted(hs, rs)]
     tiers = {
         "measured": np.where(rs <= hs[0], gradient * rs, step_above),
-        "envelope": env.fitted_c * envelope_curve(g, rs, env.norm_reference),
+        "envelope": env.fitted_c * envelope_curve(theta1(g), rs, env.norm_reference),
     }
     for name, omega in tiers.items():
         ratio = seps / comparison(rs, omega, ts)

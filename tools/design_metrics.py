@@ -4,8 +4,9 @@
 
 For each module of the package: its lines (as `wc -l` counts them), its
 settable options, its public top-level names, its `np.errstate` blocks and
-its test-only names, then the totals, and under the table the test-only
-names themselves.
+its test-only names, then the totals, and under the table the settable
+options by name (`module.def.param`, `module.Class.field`, nested defs and
+methods under their enclosing names) and the test-only names.
 
 - A settable option is a parameter with a default value in a `def`,
   nested ones included (a lambda's defaults are not counted), or a field
@@ -38,17 +39,26 @@ def is_dataclass(node: ast.ClassDef) -> bool:
     return any(getattr(t, "attr", getattr(t, "id", None)) == "dataclass" for t in targets)
 
 
-def settable_options(tree: ast.AST) -> int:
-    """Parameters with a default, over every def in the tree, and fields
-    with a default, over every dataclass."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count += len(node.args.defaults)
-            count += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
-    return count
+def settable_options(tree: ast.AST, path: str) -> list[str]:
+    """`path.def.param` for each parameter with a default, over every def in
+    the tree, and `path.Class.field` for each field with a default, over
+    every dataclass; a nested def or class extends the path by its name."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += settable_options(node, path)
+            continue
+        name = f"{path}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            own = [ast.unparse(s.target) for s in node.body
+                   if isinstance(s, ast.AnnAssign) and s.value is not None] if is_dataclass(node) else []
+        else:
+            a = node.args
+            positional = a.posonlyargs + a.args
+            own = [p.arg for p in positional[len(positional) - len(a.defaults):]]
+            own += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [f"{name}.{o}" for o in own] + settable_options(node, name)
+    return out
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -109,14 +119,16 @@ def main(argv: list[str]) -> int:
     refs = {(name, i): referenced_names(node)
             for name, (_, tree) in modules.items() for i, node in enumerate(tree.body)}
     refs.update({("perfbench", i): referenced_names(tree) for i, tree in enumerate(bench)})
-    rows, test_only = {}, []
+    rows, options, test_only = {}, [], []
     for name, (text, tree) in modules.items():
         unused = [n for i, node in enumerate(tree.body) for n in defined_names(node)
                   if not n.startswith("_") and not any(n in r for key, r in refs.items() if key != (name, i))]
         test_only += [f"{name[:-3]}.{n}" for n in unused]
+        named = settable_options(tree, name[:-3])
+        options += named
         rows[name] = {
             "lines": text.count("\n"),
-            "options": settable_options(tree),
+            "options": len(named),
             "public": len(public_names(tree)),
             "errstate": errstate_blocks(tree),
             "test-only": len(unused),
@@ -125,7 +137,8 @@ def main(argv: list[str]) -> int:
     print(f"{'module':<16}" + "".join(f"{k:>11}" for k in COLUMNS))
     for name, r in rows.items():
         print(f"{name:<16}" + "".join(f"{r[k]:>11}" for k in COLUMNS))
-    print("\ntest-only names:", ", ".join(test_only) or "none")
+    print("\nsettable options:", ", ".join(options) or "none")
+    print("test-only names:", ", ".join(test_only) or "none")
     return 0
 
 
