@@ -22,7 +22,7 @@ from .bands import besov_norm, decompose, vishik_norm
 from .errors import InvalidArgument, InvalidExponent, NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid, rearrange, sharp_maximal
 from .growth import _R_MIN, GrowthFunction, theta1, yudovich
-from .kfunc import _h_grid, _sup_finite_ratio, modulus_of_continuity
+from .kfunc import _sup_finite_ratio, k_linf_lip
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -114,8 +114,8 @@ def modulus_envelope(
     sharp maximal function at lambda = 1/4 (sharp_yudovich_norm's direct value
     alone), and gy the lifted growth p * Theta(p); for "vishik", N is the
     Vishik plus Besov band sums and gy = g.  fitted_c is the smallest constant
-    making the envelope dominate the measured modulus on the sample set: the
-    48-point h grid from the grid spacing to half the side.
+    making the envelope dominate the measured modulus on the sample set:
+    k_linf_lip's 48-point h grid from the grid spacing to half the side.
     """
     if norm_choice == "sharp_yudovich":
         norm_ref, gy = spaces._direct(rearrange(sharp_maximal(omega)), g, spaces._SHARP_P0), theta1(g)
@@ -127,8 +127,8 @@ def modulus_envelope(
     if velocity is None:
         velocity = biot_savart(omega, beta)
     v1, v2 = velocity
-    hs = _h_grid(v1)
-    measured = modulus_of_continuity([v1.data, v2.data], v1.spacing, hs)
+    curve = k_linf_lip([v1, v2])
+    hs, measured = curve.t_samples, curve.k_values
     env = envelope_curve(gy, hs, norm_ref)
     return ModulusEnvelope(
         h_samples=hs, measured=measured, envelope=env,

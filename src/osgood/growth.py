@@ -531,7 +531,7 @@ class OsgoodResult:
     partial_integral: float
     trace: np.ndarray          # rows (decade index, left endpoint, increment, partial sum)
     exit: str
-    tail_exponent: float | None = None
+    tail_exponent: float | None
 
 
 @cache

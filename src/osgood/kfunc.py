@@ -20,7 +20,6 @@ from .growth import GrowthFunction, _legendre, _require_positive, _with_p0
 
 _RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
-_ENVELOPE_BYTES = 512 * 1024  # lower envelopes one modulus sweep fills at once
 _T_GRID = np.geomspace(1e-6, 1e3, 64)  # the field K curves' t samples
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
 _LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
@@ -131,32 +130,31 @@ def _chords(h: float, spacing: float, half: int) -> np.ndarray:
 
 
 def _sweep(v: np.ndarray, padded: np.ndarray, chords: list) -> list:
-    """max of v - lower for each disc of chords, from one widening sweep.
-
-    One running row-minimum widens a column offset at a time, against slices
-    of v padded by n//2 columns on each side, up to the widest chord; at
-    width w it is folded into the lower envelope of every disc whose chord
-    at row dy is w, as slice minima against the rows +dy and -dy, wrapped.
-    Each disc's envelope then holds the minimum over exactly its offsets.
+    """max of v - lower for each disc of chords, from one widening sweep:
+    one running row-minimum widens a column offset at a time, against slices
+    of v padded by n//2 columns on each side, up to the widest chord.  At
+    width w it fills the entries [dy, w] the discs read of one (n/2 + 1)^2
+    table, max of v - min(rowmin at +dy, rowmin at -dy), wrapped, in one
+    n x n scratch array.  A disc's result is the largest of its [dy, bx(dy)].
     """
     n = v.shape[0]
     half = n // 2
-    lowers = np.full((len(chords),) + v.shape, np.inf)
-    folds = [[] for _ in range(max(int(bx[0]) for bx in chords) + 1)]
-    for lower, bx in zip(lowers, chords):
-        for dy, w in enumerate(bx):
-            folds[w].append((lower, dy))
-    rowmin = v.copy()
-    for w, fold in enumerate(folds):
+    reads = np.zeros((half + 1, half + 1), bool)  # the entries [dy, w] some disc reads
+    for bx in chords:
+        reads[np.arange(len(bx)), bx] = True
+    table = np.full(reads.shape, np.nan)
+    rowmin, low = v.copy(), np.empty_like(v)
+    for w in range(max((int(bx[0]) for bx in chords), default=-1) + 1):
         if w:
             np.minimum(rowmin, padded[:, half + w:half + w + n], out=rowmin)
             np.minimum(rowmin, padded[:, half - w:half - w + n], out=rowmin)
-        for lower, dy in fold:
-            # lower[r] against rowmin[r + dy] and rowmin[r - dy], wrapped
-            for s in {dy, (n - dy) % n}:
-                np.minimum(lower[:n - s], rowmin[s:], out=lower[:n - s])
-                np.minimum(lower[n - s:], rowmin[:s], out=lower[n - s:])
-    return [float(np.subtract(v, lower, out=lower).max()) for lower in lowers]
+        for dy in np.flatnonzero(reads[:, w]):
+            # low[r] = min(rowmin[r + dy], rowmin[r - dy]) where neither, r - dy or r + dy wraps
+            np.minimum(rowmin[2 * dy:], rowmin[:n - 2 * dy], out=low[dy:n - dy])
+            np.minimum(rowmin[dy:2 * dy], rowmin[n - dy:], out=low[:dy])
+            np.minimum(rowmin[:dy], rowmin[n - 2 * dy:n - dy], out=low[n - dy:])
+            table[dy, w] = np.subtract(v, low, out=low).max()
+    return [float(table[np.arange(len(bx)), bx].max()) for bx in chords]
 
 
 def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values) -> np.ndarray:
@@ -173,14 +171,14 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     - when the disc holds the shortest wrapped offset from v.argmax() to
       v.argmin(), the modulus is max - min, the difference the envelope
       would give; a tied pair nearer than that one is left to the sweep;
-    - otherwise h joins a batch of ascending radii that `_sweep` serves with
-      one widening sweep, holding _ENVELOPE_BYTES of envelopes.
+    - otherwise `_sweep` takes h, in one widening sweep per component.
 
     min and max are exact and fl(a - b) is monotone in b, so each route gives
-    the same bits.  Work is O(n^2 a) per swept h.  Components that are not
-    square 2-d arrays of one shape (one spacing measures them all) and of
-    finite samples raise InvalidField; a spacing not finite and > 0, or an h
-    not finite, NonPositiveArgument (h < 0 is an empty disc).
+    the same bits.  Work is one row-minimum sweep per component plus O(n^2)
+    per table entry read.  Components that are not square 2-d arrays of one
+    shape (one spacing measures them all) and of finite samples raise
+    InvalidField; a spacing not finite and > 0, or an h not finite,
+    NonPositiveArgument (h < 0 is an empty disc).
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     _require_positive("spacing", spacing)
@@ -210,13 +208,9 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
                 out[i] = osc[k]
             else:
                 swept.append(i)
-        swept.sort(key=lambda i: hs[i])
-        batch = max(1, _ENVELOPE_BYTES // v.nbytes)
         padded = np.pad(v, ((0, 0), (half, half)), mode="wrap")
-        for b in range(0, len(swept), batch):
-            ids = swept[b:b + batch]
-            for i, m in zip(ids, _sweep(v, padded, [chords[i] for i in ids])):
-                out[i] = max(out[i], m)
+        for i, m in zip(swept, _sweep(v, padded, [chords[i] for i in swept])):
+            out[i] = max(out[i], m)
     return out if np.ndim(h_values) else float(out[0])
 
 
@@ -228,8 +222,10 @@ def _h_grid(f: GridField) -> np.ndarray:
 
 def k_linf_lip(v: GridField | Sequence[GridField]) -> KCurve:
     """K(t) realized as the exact grid modulus of continuity at separation t,
-    sampled on the 48-point h grid of the first component."""
+    sampled on the 48-point h grid of the first component (InvalidField if none)."""
     comps = [v] if isinstance(v, GridField) else list(v)
+    if not comps:
+        raise InvalidField("k_linf_lip needs one or more components")
     t = _h_grid(comps[0])
     k = modulus_of_continuity([c.data for c in comps], comps[0].spacing, t)
     return KCurve(pair="Linf_W1inf", t_samples=t, k_values=k)

@@ -125,7 +125,7 @@ def test_envelope_checks_arguments_before_measuring(monkeypatch):
     def measured(*args, **kwargs):
         raise AssertionError("modulus measured before the arguments were checked")
 
-    monkeypatch.setattr(biot, "modulus_of_continuity", measured)
+    monkeypatch.setattr(kfunc, "modulus_of_continuity", measured)
     w = full_spectrum_vorticity(16, seed=4)
     with pytest.raises(ValueError, match="unknown norm choice"):
         modulus_envelope(w, 0.0, GrowthFunction.power(1.0, shift=1.0), norm_choice="besov")

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from osgood.bands import besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
-from osgood.biot import envelope_curve
+from osgood.biot import envelope_curve, modulus_envelope
 from osgood.errors import InvalidExponent, InvalidField, OsgoodError
 from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp
 from osgood.growth import GrowthFunction, pclass_check, theta1, yudovich
-from osgood.kfunc import BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_seq
+from osgood.kfunc import BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_seq, modulus_of_continuity
 
 FIELD = GridField(np.random.default_rng(7).standard_normal((16, 16)))
 DECOMP = decompose(FIELD, warn_nyquist=False)
@@ -123,12 +123,23 @@ def test_finite_band_weights_keep_their_bits():
 # the hostile float values, one argument at a time, the others ordinary
 HOSTILE = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300, 5e-324, 1e300, 1.7e308, 120.0, 0.5, 2.0]
 LIFTED = theta1(GrowthFunction.power(1.0))
+MEAN_FREE = GridField(FIELD.data - FIELD.data.mean())
+
+
+def envelope_values(beta):
+    env = modulus_envelope(MEAN_FREE, beta, GrowthFunction.power(1.0))
+    return np.concatenate([env.measured, env.envelope, [env.fitted_c]])
+
+
 SWEEP = {
     "k_seq s0": lambda x: k_seq(SEQ, x, 1.5, 1.0),
     "k_seq s1": lambda x: k_seq(SEQ, 0.5, x, 1.0),
     "k_seq t": lambda x: k_seq(SEQ, 0.5, 1.5, x),
     "envelope_curve h": lambda x: envelope_curve(LIFTED, [x], 1.0),
     "envelope_curve norm_reference": lambda x: envelope_curve(LIFTED, [0.1, 1.0], x),
+    "modulus_of_continuity spacing": lambda x: modulus_of_continuity([FIELD.data], x, [0.1, 1.0]),
+    "modulus_of_continuity h": lambda x: modulus_of_continuity([FIELD.data], FIELD.spacing, [x]),
+    "modulus_envelope beta": envelope_values,
 }
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -284,6 +285,11 @@ class TestKLinfLip:
                 modulus_of_continuity([v], 0.1, np.array([0.3, h]))
         assert modulus_of_continuity([v], 0.1, -1.0) == 0.0  # h < 0: the empty disc
 
+    def test_no_component_rejected(self):
+        # the first component's h grid once raised a bare IndexError
+        with pytest.raises(InvalidField, match="one or more"):
+            k_linf_lip([])
+
     def test_default_t_grid_follows_the_domain(self):
         data = np.random.default_rng(8).standard_normal((16, 16))
         assert k_linf_lip(torus_field(data)).t_samples[-1] == np.pi
@@ -427,6 +433,14 @@ class TestModulusExactness:
         hs = _gate_h_values(n)
         assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 15])
+    def test_bit_identical_on_odd_grids(self, n):
+        # an odd side has no row offset n/2: the widest offsets' two rows differ
+        comps = [_gate_field(n, "random"), _gate_field(n, "adjacent_extremes")]
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)
+        assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
     @pytest.mark.parametrize("n", [8, 32])
     def test_bit_identical_when_the_oscillation_overflows(self, n):
         # finite samples whose max - min overflows: the shortcut and the
@@ -444,6 +458,24 @@ class TestModulusExactness:
         hs = _h_grid(v)[::-1]
         assert np.array_equal(modulus_of_continuity([v.data], v.spacing, hs),
                               _reference_modulus([v.data], v.spacing, hs))
+
+    def test_bit_identical_on_the_pipeline_velocities(self):
+        # the 48-point h grid, against the reference rather than a routine
+        # that calls the package's own sweep
+        for v1, v2 in itertools.islice(_pipeline_velocities(), 2):
+            hs = _h_grid(v1)
+            assert np.array_equal(modulus_of_continuity([v1.data, v2.data], v1.spacing, hs),
+                                  _reference_modulus([v1.data, v2.data], v1.spacing, hs))
+
+    @pytest.mark.parametrize("n, gates", [(256, 10), (512, 8)])
+    @pytest.mark.parametrize("kind", ["random", "log_singular", "tied_extremes"])
+    def test_bit_identical_on_large_grids(self, n, gates, kind):
+        # every gate h at n = 256, and h up to 7 spacings at n = 512, where
+        # the reference's wide radii would take minutes
+        v = _gate_field(n, kind)
+        s = 2 * np.pi / n
+        hs = _gate_h_values(n)[:gates]
+        assert np.array_equal(modulus_of_continuity([v], s, hs), _reference_modulus([v], s, hs))
 
     def test_bit_identical_to_the_tied_extremes_shortcut(self):
         # one extreme pair, argmax to argmin, against every tied pair: on the
@@ -464,8 +496,9 @@ class TestModulusExactness:
             assert np.array_equal(modulus_of_continuity([v], s, hs), _tied_extremes_modulus([v], s, hs))
 
     def test_peak_memory_of_a_velocity_call(self):
-        # two 128^2 components on the 48-point grid: the batched lower
-        # envelopes are held to 512 KiB, so the call peaks well below 2 MiB
+        # two 128^2 components on the 48-point grid: one sweep at a time
+        # holds the padded copy, two 128^2 arrays and a 65^2 table, whatever
+        # the number of radii, so the call peaks well below 2 MiB
         comps = [_gate_field(128, "random"), _gate_field(128, "log_singular")]
         v = torus_field(comps[0])
         tracemalloc.start()
