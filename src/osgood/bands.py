@@ -86,17 +86,10 @@ def _partition_defect(n: int) -> float:
 class DyadicDecomposition:
     bands: tuple            # of (j, GridField)
     mean: float
-    source: GridField
     sups: BandSequence      # (j, max |band_j|), taken once by decompose
 
     def band_norms(self) -> BandSequence:
         return self.sups
-
-    def reconstruct(self) -> np.ndarray:
-        total = np.full_like(self.source.data, self.mean)
-        for _, b in self.bands:
-            total = total + b.data
-        return total
 
 
 def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
@@ -119,7 +112,7 @@ def decompose(f: GridField, warn_nyquist: bool = True) -> DyadicDecomposition:
         risky = [j for j, sup in sups.entries if _SUPP_HI * 2.0 ** j > n / 2 and sup > 1e-12 * scale]
         if risky:
             warnings.warn(f"bands j in {risky} extend beyond the Nyquist circle |k| = {n // 2}", AliasRisk)
-    return DyadicDecomposition(bands=tuple(bands), mean=mean, source=f, sups=sups)
+    return DyadicDecomposition(bands=tuple(bands), mean=mean, sups=sups)
 
 
 def besov_norm_seq(seq: BandSequence, beta):

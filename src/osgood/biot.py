@@ -21,10 +21,8 @@ from . import spaces
 from .bands import besov_norm, decompose, vishik_norm
 from .errors import InvalidArgument, InvalidExponent, NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid, rearrange, sharp_maximal
-from .growth import _R_MIN, GrowthFunction, theta1, yudovich
+from .growth import _LOG_MAX, _R_MIN, GrowthFunction, theta1, yudovich
 from .kfunc import _sup_finite_ratio, k_linf_lip
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridField]:
@@ -49,7 +47,7 @@ def biot_savart(omega: GridField, beta: float = 0.0) -> tuple[GridField, GridFie
         # |xi| of either, times the largest |w_hat| (at least 1)
         log_nyquist = math.log(np.pi / omega.spacing)
         log_top = (beta - 1.0) * max(log_nyquist, math.log(float(rho.max())))
-        if log_top + math.log(max(float(np.abs(spec).max()), 1.0)) > _LOG_FLOAT_MAX:
+        if log_top + math.log(max(float(np.abs(spec).max()), 1.0)) > _LOG_MAX:
             raise InvalidExponent(f"beta={beta:g} amplifies the top band by e^{log_top:.4g}, past the floats")
         gain = math.exp((beta - 1.0) * log_nyquist)
         warnings.warn(f"beta={beta:g} amplifies the top band by {gain:.3g}", UserWarning)

@@ -11,7 +11,7 @@ the domain rescales lengths and measures, never the samples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -83,9 +83,6 @@ class GridField:
     @property
     def spacing(self) -> float:
         return self.domain.side / self.n
-
-    def as_domain(self, domain: Domain) -> "GridField":
-        return replace(self, domain=domain)
 
 
 # -- rearrangements ----------------------------------------------------------

@@ -47,6 +47,7 @@ _QD_P_HI, _SLACK = 2048.0, 1.05
 _TAIL_TERMS, _HEADS = 4000, 64
 _NEIGHBOURS = np.array([[-1], [0], [1]])  # a hull vertex and its two neighbours
 _R_MIN = 2.0 ** -1024  # 1/r is finite exactly for r > _R_MIN = 1/float max, rounded
+_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -296,7 +297,8 @@ def _legendre(g: GrowthFunction, log_r: np.ndarray):
     c = np.minimum(np.maximum(v[np.minimum(np.maximum(j + _NEIGHBOURS, 0), len(v) - 1)], 1), _GRID - 2)
     fl, fc, fr = objective(c - 1), objective(c), objective(c + 1)
     h = xs[1] - xs[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # an objective near the float max overflows 2 fc: that curvature reads inf and the step is dropped
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         curv = fl - 2.0 * fc + fr
         vx = np.minimum(np.maximum(xs[c] + 0.5 * h * (fl - fr) / curv, xs[c - 1]), xs[c + 1])
         fv = g.log_value(np.exp(vx)) + log_r * np.exp(-vx)
@@ -309,24 +311,32 @@ def _legendre(g: GrowthFunction, log_r: np.ndarray):
     return best, argmin, path
 
 
+def _exp_y(g: GrowthFunction, log_y: np.ndarray) -> np.ndarray:
+    """y = exp(log y); InvalidExponent naming g where some y passes the float range."""
+    if log_y.max() > _LOG_MAX:
+        raise InvalidExponent(f"growth {g.name} takes y(r) past the float range")
+    return np.exp(log_y)
+
+
 def _yudovich(g: GrowthFunction, r):
     """y(r), the p attaining it and the _PATHS index, shaped like r; for r <= 1
     the objective increases in p, so y(r) is the p0 boundary value in closed form.
-    When every r > 1, as in every call of the Osgood march, all of them go to
-    _legendre at once."""
+    When every r > 1, as in every call of the Osgood march, all go to _legendre
+    at once.  A y past the floats raises InvalidExponent naming the growth."""
     rs = np.asarray(r, dtype=float)
     lo, hi = (rs.min(), rs.max()) if rs.size else (1.0, 1.0)
     if not (lo > 0.0 and hi < np.inf):
         raise NonPositiveArgument(f"r must be finite and > 0, got {r}")
     if lo > 1.0:
         log_y, argmins, path = _legendre(g, np.log(rs.ravel()))
-        return np.exp(log_y).reshape(rs.shape), argmins.reshape(rs.shape), path.reshape(rs.shape)
+        return _exp_y(g, log_y).reshape(rs.shape), argmins.reshape(rs.shape), path.reshape(rs.shape)
     values, argmins, path = np.empty_like(rs), np.full_like(rs, g.p0), np.zeros(rs.shape, dtype=int)
     big = rs > 1.0
-    values[~big] = float(g(g.p0)) * rs[~big] ** (1.0 / g.p0)
     if big.any():
         log_y, argmins[big], path[big] = _legendre(g, np.log(rs[big]))
-        values[big] = np.exp(log_y)
+        values[big] = _exp_y(g, log_y)
+    if not big.all():  # y(r) = Theta(p0) r^(1/p0) <= Theta(p0) = exp(log Theta(p0))
+        values[~big] = float(_exp_y(g, g._eval(g.p0, None))) * rs[~big] ** (1.0 / g.p0)
     return values, argmins, path
 
 

@@ -15,14 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySequence, InvalidArgument, InvalidExponent, InvalidField, NonPositiveArgument
-from .field import _LAMBDA, GridField, RearrangementProfile, rearrange, sharp_maximal
-from .growth import GrowthFunction, _legendre, _require_positive, _with_p0
+from .field import GridField, RearrangementProfile, rearrange, sharp_maximal
+from .growth import _LOG_MAX, GrowthFunction, _legendre, _require_positive, _with_p0
 
-_RTOL = 1e-9  # check_shape's relative round-off allowance
 _H_POINTS = 48  # the h grid of the modulus of continuity
 _T_GRID = np.geomspace(1e-6, 1e3, 64)  # the field K curves' t samples
 _T_GRID.setflags(write=False)  # curves share it as their t_samples
-_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
 @dataclass(frozen=True)
@@ -30,25 +28,6 @@ class KCurve:
     pair: str
     t_samples: np.ndarray
     k_values: np.ndarray
-    params: dict | None = None
-
-    def check_shape(self, concave_slack: float = 0.35) -> None:
-        """K nondecreasing and K/t nonincreasing hold exactly for every pair,
-        up to a round-off of _RTOL = 1e-9 relative to the largest value;
-        concavity is exact only for the true-K pairs (p0=1 prefix integral,
-        sequence sums), so surrogate curves get a relative slack against the
-        chord.  Pass concave_slack=0 for the exact pairs."""
-        t, k = self.t_samples, self.k_values
-        scale = max(float(k.max()), 1e-300)
-        if np.any(np.diff(k) < -_RTOL * scale):
-            raise AssertionError(f"{self.pair}: K not nondecreasing")
-        slopes = k / t
-        if np.any(np.diff(slopes) > _RTOL * max(float(slopes.max()), 1e-300)):
-            raise AssertionError(f"{self.pair}: K/t not nonincreasing")
-        chord = k[:-2] + (k[2:] - k[:-2]) * ((t[1:-1] - t[:-2]) / (t[2:] - t[:-2]))
-        floor = chord * (1.0 - concave_slack) - 64 * _RTOL * scale
-        if np.any(k[1:-1] < floor):
-            raise AssertionError(f"{self.pair}: K dips below the concave chord envelope")
 
 
 @dataclass(frozen=True)
@@ -78,18 +57,21 @@ class BandSequence:
 # -- (L^p0, L^inf) ------------------------------------------------------------
 
 def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
-    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on prof.  For
-    p0 >= 1, t is clamped at (2 |Omega|)^(1/p0) before the power, so t^p0
-    cannot overflow: every measure past |Omega| reads the whole integral.
-    For p0 < 1 a finite t^p0 cannot overflow, but the cap could, so none.
-    Where t^p0 is below the smallest normal float it has underflowed, and K
-    reads t f*(0), exact while t^p0 lies in the first cell."""
+    """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on prof, t >= 0 (else
+    NonPositiveArgument).  For p0 >= 1, t is clamped at (2 |Omega|)^(1/p0)
+    before the power, so t^p0 cannot overflow: every measure past |Omega| reads
+    the whole integral.  For p0 < 1 a finite t^p0 cannot overflow, but the cap
+    could, so none.  Where t^p0 has underflowed below the smallest normal float,
+    and only there, K is t f*(0), exact while t^p0 lies in the first cell."""
     _require_positive("p0", p0)
     t = np.asarray(t_grid, dtype=float)
+    if not np.all(t >= 0.0):
+        raise NonPositiveArgument(f"t must be >= 0, got {t[~(t >= 0.0)][0]}")
     cap = (2.0 * prof.total_measure) ** (1.0 / p0) if p0 >= 1.0 else np.inf
     measure = np.minimum(t, cap) ** p0
-    k = prof.power_integral(measure, p0) ** (1.0 / p0)
-    k = np.where(measure < np.finfo(float).tiny, t * prof.values[0], k)
+    k = np.asarray(prof.power_integral(measure, p0) ** (1.0 / p0))
+    under = measure < np.finfo(float).tiny
+    k[under] = t[under] * prof.values[0]
     return KCurve(pair=f"Lp_Linf(p0={p0:g})", t_samples=t, k_values=k)
 
 
@@ -103,10 +85,9 @@ def k_lp_linf(f: GridField, p0: float) -> KCurve:
 
 def k_lp_bmo(f: GridField, p0: float) -> KCurve:
     """Oscillation-pair surrogate on _T_GRID built from the trimmed-oscillation
-    maximal function at the fixed lambda = _LAMBDA = 1/4 (in params); constants
-    are absorbed, so the curve is an equivalent of the true K, not an equality."""
-    curve = k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, _T_GRID)
-    return replace(curve, pair=f"Lp_BMO(p0={p0:g})", params={"lambda": _LAMBDA, "surrogate": "trimmed-oscillation"})
+    maximal function at the fixed lambda = _LAMBDA = 1/4; constants are
+    absorbed, so the curve is an equivalent of the true K, not an equality."""
+    return replace(k_lp_linf_profile(rearrange(sharp_maximal(f)), p0, _T_GRID), pair=f"Lp_BMO(p0={p0:g})")
 
 
 # -- (L^inf, Lip) ---------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Growth-indexed function-space norms and their cross-characterizations.
 
-Each norm is computed three ways: the defining supremum over Lebesgue
-exponents, the rearrangement form, and the universal K-functional form.
-The three agree only up to absorbed constants, so reports carry all values
-and their pairwise ratios rather than asserting equality.  Every sup over
+Each norm is computed three ways, which agree only up to absorbed constants,
+so a report carries all three: the defining supremum over Lebesgue exponents,
+the rearrangement form and the universal K-functional form.  Every sup over
 samples is the largest finite ratio, 0.0 if none is (kfunc._sup_finite_ratio).
 """
 
@@ -44,15 +43,6 @@ class NormReport:
     char_rearr_star: float
     char_small_t: float
     params: dict
-
-    @property
-    def ratios(self) -> dict:
-        vals = {
-            "direct": self.direct_value,
-            "k": self.char_k,
-            "rearr": self.char_rearr,
-        }
-        return {f"{a}/{b}": _ratio(vals[a], vals[b]) for a in vals for b in vals if a < b}
 
 
 def _direct(prof: RearrangementProfile, g: GrowthFunction, p0: float) -> float:
@@ -112,10 +102,6 @@ class EmbeddingGapReport:
     plain: NormReport
     sharp: NormReport
     ratio_sharp_over_plain: float
-
-    @property
-    def embedding_holds(self) -> bool:
-        return math.isfinite(self.ratio_sharp_over_plain)
 
 
 def embedding_gap_report(f: GridField, g: GrowthFunction) -> EmbeddingGapReport:

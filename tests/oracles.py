@@ -1,0 +1,48 @@
+"""Identities of the paper's objects that only the tests check: the shape of
+a sampled K-functional, the pairwise ratios of a norm report's forms, and
+the sum of a dyadic decomposition's bands."""
+
+import numpy as np
+
+from osgood.kfunc import _ratio
+
+RTOL = 1e-9  # check_shape's relative round-off allowance
+
+
+def check_shape(curve, concave_slack: float = 0.35) -> None:
+    """K nondecreasing and K/t nonincreasing hold exactly for every pair,
+    up to a round-off of RTOL = 1e-9 relative to the largest value;
+    concavity is exact only for the true-K pairs (p0=1 prefix integral,
+    sequence sums), so surrogate curves get a relative slack against the
+    chord.  Pass concave_slack=0 for the exact pairs (C. Bennett,
+    R. Sharpley, Interpolation of Operators, 1988, ch. 5)."""
+    t, k = curve.t_samples, curve.k_values
+    scale = max(float(k.max()), 1e-300)
+    if np.any(np.diff(k) < -RTOL * scale):
+        raise AssertionError(f"{curve.pair}: K not nondecreasing")
+    slopes = k / t
+    if np.any(np.diff(slopes) > RTOL * max(float(slopes.max()), 1e-300)):
+        raise AssertionError(f"{curve.pair}: K/t not nonincreasing")
+    chord = k[:-2] + (k[2:] - k[:-2]) * ((t[1:-1] - t[:-2]) / (t[2:] - t[:-2]))
+    floor = chord * (1.0 - concave_slack) - 64 * RTOL * scale
+    if np.any(k[1:-1] < floor):
+        raise AssertionError(f"{curve.pair}: K dips below the concave chord envelope")
+
+
+def ratios(report) -> dict:
+    """The pairwise ratios of a NormReport's direct, K and rearrangement
+    forms, keyed "a/b" with a < b: equivalent norms keep them bounded."""
+    vals = {
+        "direct": report.direct_value,
+        "k": report.char_k,
+        "rearr": report.char_rearr,
+    }
+    return {f"{a}/{b}": _ratio(vals[a], vals[b]) for a in vals for b in vals if a < b}
+
+
+def reconstruct(decomp) -> np.ndarray:
+    """The mean plus every band of a DyadicDecomposition, summed in band order."""
+    total = np.full_like(decomp.bands[0][1].data, decomp.mean)
+    for _, b in decomp.bands:
+        total = total + b.data
+    return total

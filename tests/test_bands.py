@@ -22,6 +22,7 @@ from osgood.errors import AliasRisk, HypothesisViolated, InvalidExponent, NonPos
 from osgood.field import Domain, GridField, _fourier_grid, dyadic_bmo_norm
 from osgood.growth import GrowthFunction
 from osgood.kfunc import BandSequence
+from oracles import reconstruct
 
 rng = np.random.default_rng(42)
 CONST = GrowthFunction.constant(1.0, p0=1.0)
@@ -129,14 +130,14 @@ class TestDecompose:
     def test_reconstruction(self):
         f = band_limited_field(128)
         d = decompose(f)
-        err = np.abs(d.reconstruct() - f.data).max()
+        err = np.abs(reconstruct(d) - f.data).max()
         assert err < 1e-9 * max(np.abs(f.data).max(), 1e-300)
 
     def test_reconstruction_with_mean_and_corners(self):
         data = rng.standard_normal((128, 128)) + 3.0
         f = torus_field(data)
         d = decompose(f, warn_nyquist=False)
-        err = np.abs(d.reconstruct() - f.data).max()
+        err = np.abs(reconstruct(d) - f.data).max()
         assert err < 1e-9 * np.abs(f.data).max()
 
     def test_band_sups_are_taken_once(self):

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_vorticity_must_be_mean_free():
 def test_symbol_is_the_patched_power(n, domain):
     # |xi|^(beta - 2) taken only where xi != 0 gives the bits of the power
     # taken everywhere and patched to 0 at xi = 0
-    omega = full_spectrum_vorticity(n, 11).as_domain(domain)
+    omega = replace(full_spectrum_vorticity(n, 11), domain=domain)
     _, _, xi1, xi2 = _fourier_grid(n, domain.side)
     rho = np.hypot(xi1, xi2)
     spec = np.fft.rfft2(omega.data)
@@ -159,7 +160,7 @@ def test_envelope_on_log_power_growths_takes_the_direct_sup_alone(monkeypatch, d
     for module in (spaces, kfunc):
         monkeypatch.setattr(module, "extrapolation_sup", unread)
     monkeypatch.setattr(spaces, "sharp_yudovich_norm", unread)
-    w = full_spectrum_vorticity(16, seed=7).as_domain(domain)
+    w = replace(full_spectrum_vorticity(16, seed=7), domain=domain)
     env = modulus_envelope(w, 0.0, g)
     assert np.isfinite(env.envelope).all() and np.isfinite(env.fitted_c)
     # N = sup_p ||M w||_p / Theta(p) over the sharp index p0 = 4's exponents
@@ -197,7 +198,7 @@ def test_default_h_samples_follow_the_domain():
     w = full_spectrum_vorticity(16, seed=5)
     g = GrowthFunction.power(1.0)
     assert modulus_envelope(w, 0.0, g).h_samples[-1] == np.pi
-    unit = modulus_envelope(w.as_domain(Domain.UNIT_TORUS), 0.0, g)
+    unit = modulus_envelope(replace(w, domain=Domain.UNIT_TORUS), 0.0, g)
     assert unit.h_samples[0] == 1.0 / 16 and unit.h_samples[-1] == 0.5
 
 

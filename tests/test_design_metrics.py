@@ -1,7 +1,7 @@
 """tools/design_metrics.py on a small package written to a temporary folder,
 with a perfbench/ folder next to its src/, as in the repository: every
-column of the table, and the settable options and test-only names printed
-under it."""
+column of the table, and the settable options, public methods and test-only
+names printed under it; then the test-only names of the package itself."""
 
 import contextlib
 import importlib.util
@@ -65,13 +65,44 @@ def traced():
 class Model:
     pass
 ''',
+    # a public method of each kind; lonely reads only itself, and perimeter
+    # shares its name with a local and a dict key of caller but no attribute
+    "methods.py": '''\
+class Shape:
+    def __init__(self, side):
+        self.side = side
+
+    def area(self):
+        return self._scale() * self.side ** 2
+
+    def lonely(self):
+        return self.lonely
+
+    @property
+    def perimeter(self):
+        return 4 * self.side
+
+    @staticmethod
+    def unit():
+        return Shape(1.0)
+
+    def _scale(self):
+        return 1.0
+
+
+class _Private:
+    def hidden(self):
+        return None
+''',
     "caller.py": '''\
-from . import names
+from . import methods, names
 from .names import used
 
 
 def main():
-    return used(), names.Model
+    shape = methods.Shape.unit()
+    perimeter = {"perimeter": getattr(shape, "area")()}
+    return used(), names.Model, perimeter
 ''',
 }
 BENCH = 'TRACED = ("traced", "positional", "keyword_only", "Holder", "quiet", "main")\n'
@@ -109,6 +140,12 @@ def run_tool(root, modules):
         (package / name).write_text(text)
     (root / "perfbench").mkdir()
     (root / "perfbench" / "bench.py").write_text(BENCH)
+    return tool_report(package)
+
+
+def tool_report(package):
+    """The table and the lines under it, as run_tool returns them, for the
+    package folder given."""
     spec = importlib.util.spec_from_file_location("design_metrics", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -140,31 +177,56 @@ def test_lines_are_newlines(report):
 def test_options_count_keyword_only_defaults_and_not_lambdas(report):
     table, _ = report
     assert column(table, "options") == {
-        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 0, "opts.py": 5, "total": 5,
+        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "methods.py": 0, "names.py": 0, "opts.py": 5, "total": 5,
     }
 
 
 def test_public_names_skip_underscores(report):
+    # methods.py: Shape and its four public methods; opts.py: Holder.method too
     table, _ = report
     assert column(table, "public") == {
-        "__init__.py": 0, "caller.py": 1, "guards.py": 1, "names.py": 5, "opts.py": 3, "total": 10,
+        "__init__.py": 0, "caller.py": 1, "guards.py": 1, "methods.py": 5, "names.py": 5, "opts.py": 4, "total": 16,
     }
 
 
 def test_errstate_blocks(report):
     table, _ = report
     assert column(table, "errstate") == {
-        "__init__.py": 0, "caller.py": 0, "guards.py": 2, "names.py": 0, "opts.py": 0, "total": 2,
+        "__init__.py": 0, "caller.py": 0, "guards.py": 2, "methods.py": 0, "names.py": 0, "opts.py": 0, "total": 2,
     }
 
 
 def test_test_only_names_are_reached_from_nowhere_else(report):
-    # LIMIT is read by used, used and Model by caller, the rest by perfbench's strings
+    # LIMIT is read by used, used and Model by caller, the rest by perfbench's
+    # strings; of the methods, unit and area are reached by caller, through
+    # an attribute and a string constant
     table, under = report
     assert column(table, "test-only") == {
-        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "names.py": 1, "opts.py": 0, "total": 1,
+        "__init__.py": 0, "caller.py": 0, "guards.py": 0, "methods.py": 2, "names.py": 1, "opts.py": 1, "total": 4,
     }
-    assert under["test-only names"] == "names.orphan"
+    assert under["test-only names"] == "methods.Shape.lonely, methods.Shape.perimeter, names.orphan, opts.Holder.method"
+
+
+def test_public_methods_are_named_under_the_table(report):
+    # dunders, private methods and the methods of a private class are not counted
+    _, under = report
+    assert under["public methods"] == (
+        "methods.Shape.area, methods.Shape.lonely, methods.Shape.perimeter, methods.Shape.unit, opts.Holder.method")
+
+
+# the paper reports of ROADMAP item 8, the one file format, and the two
+# constructors that take a general Theta from the user: nothing in the
+# package or perfbench calls them, and each stays
+KEPT_TEST_ONLY = {
+    "bands.band_inequality_checks", "field.write_field_binary", "field.read_field_binary",
+    "growth.lemma1_ratio_scan", "kfunc.k_lp_linf", "kfunc.k_lp_bmo", "spaces.embedding_gap_report",
+    "growth.GrowthFunction.from_callable", "growth.GrowthFunction.from_table",
+}
+
+
+def test_the_package_has_no_test_only_names_but_the_kept_ones():
+    _, under = tool_report(TOOL.parents[1] / "src" / "osgood")
+    assert set(under["test-only names"].split(", ")) == KEPT_TEST_ONLY
 
 
 def test_options_count_defaulted_dataclass_fields(tmp_path):

@@ -11,10 +11,12 @@ import pytest
 
 from osgood.bands import besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
 from osgood.biot import envelope_curve, modulus_envelope
-from osgood.errors import InvalidExponent, InvalidField, OsgoodError
-from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp
-from osgood.growth import GrowthFunction, pclass_check, theta1, yudovich
-from osgood.kfunc import BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_seq, modulus_of_continuity
+from osgood.errors import InvalidExponent, InvalidField, NonPositiveArgument, OsgoodError
+from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp, rearrange
+from osgood.growth import GrowthFunction, pclass_check, theta1, yudovich, yudovich_eval
+from osgood.kfunc import (
+    BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_lp_linf_profile, k_seq, modulus_of_continuity,
+)
 
 FIELD = GridField(np.random.default_rng(7).standard_normal((16, 16)))
 DECOMP = decompose(FIELD, warn_nyquist=False)
@@ -95,6 +97,23 @@ CASES = {
         lambda: extrapolation_sup(CURVE, LOG_POWER, 1e300), InvalidExponent, "p0 = 1e+300"),
     "extrapolation_sup log-power p0=1.2e307": (
         lambda: extrapolation_sup(CURVE, LOG_POWER, 1.2e307), InvalidExponent, "p0 = 1.2e+307"),
+    # exp(log y) overflowed ("exp"), or 2 fc in the vertex step ("multiply")
+    "yudovich power alpha=1e300": (
+        lambda: yudovich(GrowthFunction.power(1e300, p0=2.0), 10.0), InvalidExponent, "growth p^1e+300"),
+    "yudovich log-power alpha=1e300": (
+        lambda: yudovich(GrowthFunction.log_power(1e300, (1.0,)), 10.0), InvalidExponent, "logpower(1e+300;1)"),
+    "yudovich log-power alpha=1.7e308": (
+        lambda: yudovich(GrowthFunction.log_power(1.7e308, (1.0,)), 10.0), InvalidExponent, "logpower(1.7e+308;1)"),
+    "yudovich log-power p0=1.7e308": (
+        lambda: yudovich(GrowthFunction.log_power(1.0, (1.0,), p0=1.7e308), 10.0), InvalidExponent, "logpower(1;1)"),
+    # Theta(p0) overflowed in the closed form, silently: y read inf
+    "yudovich power alpha=1e300 r=0.5": (
+        lambda: yudovich(GrowthFunction.power(1e300, p0=2.0), 0.5), InvalidExponent, "growth p^1e+300"),
+    "yudovich_eval power alpha=1e300 r=1": (
+        lambda: yudovich_eval(GrowthFunction.power(1e300, p0=2.0), 1.0), InvalidExponent, "growth p^1e+300"),
+    # the even power erased the sign: K(-1) read K(1)
+    "k_lp_linf_profile t=-1": (
+        lambda: k_lp_linf_profile(rearrange(FIELD), 2.0, [-1.0]), NonPositiveArgument, "t must be >= 0, got -1"),
 }
 
 
@@ -123,6 +142,8 @@ def test_finite_band_weights_keep_their_bits():
 # the hostile float values, one argument at a time, the others ordinary
 HOSTILE = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-300, 5e-324, 1e300, 1.7e308, 120.0, 0.5, 2.0]
 LIFTED = theta1(GrowthFunction.power(1.0))
+PROFILE = rearrange(FIELD)
+R_BOTH_SIDES = [0.5, 10.0]  # the closed form and the Legendre search
 MEAN_FREE = GridField(FIELD.data - FIELD.data.mean())
 
 
@@ -140,6 +161,11 @@ SWEEP = {
     "modulus_of_continuity spacing": lambda x: modulus_of_continuity([FIELD.data], x, [0.1, 1.0]),
     "modulus_of_continuity h": lambda x: modulus_of_continuity([FIELD.data], FIELD.spacing, [x]),
     "modulus_envelope beta": envelope_values,
+    "k_lp_linf_profile t p0=2": lambda x: k_lp_linf_profile(PROFILE, 2.0, [x]).k_values,
+    "k_lp_linf_profile t p0=0.5": lambda x: k_lp_linf_profile(PROFILE, 0.5, [x]).k_values,
+    "yudovich power alpha": lambda x: yudovich(GrowthFunction.power(x, p0=2.0), R_BOTH_SIDES),
+    "yudovich log-power alpha": lambda x: yudovich(GrowthFunction.log_power(x, (1.0,)), R_BOTH_SIDES),
+    "yudovich log-power p0": lambda x: yudovich(GrowthFunction.log_power(1.0, (1.0,), p0=x), R_BOTH_SIDES),
 }
 
 

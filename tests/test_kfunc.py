@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osgood
+from oracles import check_shape
 
 from osgood.errors import EmptySequence, InvalidArgument, InvalidExponent, InvalidField, NonPositiveArgument
 from osgood.biot import biot_savart
@@ -65,7 +66,7 @@ def log_power_field(n, alpha=1.0):
 def test_check_shape_names_the_broken_property(k, msg):
     curve = KCurve(pair="probe", t_samples=np.array([1.0, 2.0, 3.0]), k_values=np.array(k))
     with pytest.raises(AssertionError, match=f"probe: {msg}"):
-        curve.check_shape(concave_slack=0.0)
+        check_shape(curve, concave_slack=0.0)
 
 
 class TestKLpLinf:
@@ -76,7 +77,7 @@ class TestKLpLinf:
         curve = k_lp_linf_profile(rearrange(unit_field(data)), 1.0, np.geomspace(1e-3, 10.0, 40))
         expect = np.minimum(curve.t_samples, 0.25)
         assert np.allclose(curve.k_values, expect, rtol=1e-12)
-        curve.check_shape(concave_slack=0.0)
+        check_shape(curve, concave_slack=0.0)
 
     @pytest.mark.parametrize("p0", [0.0, -1.0, np.nan, np.inf])
     def test_index_must_be_finite_and_positive(self, p0):
@@ -149,8 +150,8 @@ class TestKLpLinf:
         for _ in range(3):
             f = unit_field(rng.standard_normal((32, 32)))
             # p0 > 1 is a surrogate: concave only within equivalence slack
-            k_lp_linf_profile(rearrange(f), 1.5, np.geomspace(1e-4, 100.0, 40)).check_shape()
-            k_lp_linf_profile(rearrange(f), 1.0, np.geomspace(1e-4, 100.0, 40)).check_shape(concave_slack=0.0)
+            check_shape(k_lp_linf_profile(rearrange(f), 1.5, np.geomspace(1e-4, 100.0, 40)))
+            check_shape(k_lp_linf_profile(rearrange(f), 1.0, np.geomspace(1e-4, 100.0, 40)), concave_slack=0.0)
 
 
 class TestKLpBmo:
@@ -660,7 +661,7 @@ class TestKSeq:
     def test_curve_shape(self):
         seq = BandSequence(((0, 1.0), (3, 0.5), (7, 2.0)))
         ts = np.geomspace(1e-4, 1e2, 40)
-        KCurve(pair="seq", t_samples=ts, k_values=k_seq(seq, -1.0, 0.0, ts)).check_shape()
+        check_shape(KCurve(pair="seq", t_samples=ts, k_values=k_seq(seq, -1.0, 0.0, ts)))
 
 
 class TestExtrapolationSup:

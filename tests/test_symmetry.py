@@ -1,0 +1,72 @@
+"""The square torus's symmetries as exact oracles: the modulus of continuity
+sees only distances and differences, so it is unchanged by every dihedral
+map, integer roll and negation, and scales with the field; the sharp
+maximal function's dyadic cubes map onto dyadic cubes under the dihedral
+maps, so it moves as its input does, and an oscillation is unchanged by
+negation and doubled with the field.  None of these relations trusts the
+algorithm, and every one holds bit for bit: min, max and fl(a - b) do not
+depend on the order in which samples are visited, and scaling by 2 is exact.
+"""
+
+import numpy as np
+import pytest
+
+from osgood.field import Domain, GridField, sharp_maximal
+from osgood.kfunc import _h_grid, modulus_of_continuity
+
+
+def log_singular(n):
+    """|log rho|^1.5 about an off-centre point, rho the periodic distance
+    over the side, floored at half a cell."""
+    x = np.arange(n) / n
+    dy, dx = (np.minimum(np.abs(x - c), 1.0 - np.abs(x - c)) for c in (0.3, 0.55))
+    rho = np.maximum(np.hypot(dy[:, None], dx[None, :]), 0.5 / n)
+    return np.abs(np.log(rho)) ** 1.5
+
+
+FIELDS = {
+    "normal": lambda n, rng: rng.standard_normal((n, n)),
+    "log singular": lambda n, rng: log_singular(n),
+    "half integers": lambda n, rng: rng.integers(-4, 5, (n, n)) / 2.0,
+    "small integers": lambda n, rng: rng.integers(-2, 3, (n, n)).astype(float),
+}
+DIHEDRAL = {
+    "transpose": np.transpose,
+    "flip rows": lambda a: a[::-1],
+    "flip columns": lambda a: a[:, ::-1],
+    "rot90": np.rot90,
+}
+MAPS = {**DIHEDRAL, "roll (3, 5)": lambda a: np.roll(a, (3, 5), axis=(0, 1)), "negate": np.negative}
+
+
+def field(kind, n):
+    return FIELDS[kind](n, np.random.default_rng(n))
+
+
+def unit(data):
+    return GridField(np.ascontiguousarray(data), Domain.UNIT_TORUS)
+
+
+def modulus(f):
+    return modulus_of_continuity([f.data], f.spacing, _h_grid(f))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_modulus_is_invariant_and_homogeneous(kind, n):
+    f = unit(field(kind, n))
+    base = modulus(f)
+    for name, m in MAPS.items():
+        assert np.array_equal(modulus(unit(m(f.data))), base), name
+    assert np.array_equal(modulus(unit(2.0 * f.data)), 2.0 * base)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_sharp_maximal_moves_with_its_input(kind, n):
+    f = unit(field(kind, n))
+    base = sharp_maximal(f).data
+    for name, m in DIHEDRAL.items():
+        assert np.array_equal(sharp_maximal(unit(m(f.data))).data, m(base)), name
+    assert np.array_equal(sharp_maximal(unit(-f.data)).data, base)
+    assert np.array_equal(sharp_maximal(unit(2.0 * f.data)).data, 2.0 * base)

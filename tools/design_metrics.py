@@ -3,29 +3,37 @@
     python tools/design_metrics.py [src/osgood]
 
 For each module of the package: its lines (as `wc -l` counts them), its
-settable options, its public top-level names, its `np.errstate` blocks and
-its test-only names, then the totals, and under the table the settable
-options by name (`module.def.param`, `module.Class.field`, nested defs and
-methods under their enclosing names) and the test-only names.
+settable options, its public names, its `np.errstate` blocks and its
+test-only names, then the totals, and under the table the settable options
+by name (`module.def.param`, `module.Class.field`, nested defs and methods
+under their enclosing names), the public methods and the test-only names.
 
 - A settable option is a parameter with a default value in a `def`,
   nested ones included (a lambda's defaults are not counted), or a field
   with a default in a `@dataclass` class body: an annotated assignment
   with a value, `field(default_factory=...)` included.
-- A public top-level name is a module-level function, class or assigned
-  name that does not start with an underscore.
+- A public name is a module-level function, class or assigned name that
+  does not start with an underscore, or a public method: a method, property
+  or static constructor of a public module-level class whose name does not
+  start with an underscore (dunders and private methods are not counted),
+  named `module.Class.name`.
 - An errstate block is a `with` statement one of whose items calls an
   attribute named `errstate` (`with np.errstate(...)`).
-- A test-only name is a public top-level name that no code outside its own
-  definition references, in the package or in `perfbench/` next to it: as a
-  name, an attribute, an imported name or a string constant (`perfbench`
-  lists the functions it traces by name).  Only the tests reach it.
+- A test-only name is a public name that no code outside its own
+  definition references, in the package or in `perfbench/` next to it.  Only
+  the tests reach it.  A top-level name is referenced as a name, an
+  attribute, an imported name or a string constant (`perfbench` lists the
+  functions it traces by name).  A method is reached only as an attribute
+  (`x.name`) or a string constant, so a bare name never counts for it: a
+  local or a field of the same name does not reach a method, and neither
+  does a dict key.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 DEFAULT_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "osgood"
@@ -77,6 +85,15 @@ def public_names(tree: ast.Module) -> list[str]:
     return [n for node in tree.body for n in defined_names(node) if not n.startswith("_")]
 
 
+def public_methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """(`Class.name`, def) for each method, property or static constructor
+    not starting with '_' of each module-level class not starting with '_'."""
+    return [(f"{node.name}.{m.name}", m) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for m in node.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")]
+
+
 def errstate_blocks(tree: ast.AST) -> int:
     """`with` statements that enter an `....errstate(...)` call."""
     return sum(
@@ -106,6 +123,21 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return out
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often each attribute name and each string constant occurs in the
+    tree: the only ways code reaches a method.  A string that is a dict key
+    or a subscript (`{"ratios": r}`, `o["ratios"]`) names data, not code, and
+    is left out."""
+    keys = {id(k) for node in ast.walk(tree) for k in (
+        node.keys if isinstance(node, ast.Dict) else [node.slice] if isinstance(node, ast.Subscript) else [])}
+    return Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys)
+    )
+
+
 def parse(path: Path) -> tuple[str, ast.Module]:
     text = path.read_text(encoding="utf-8")
     return text, ast.parse(text, filename=str(path))
@@ -119,17 +151,23 @@ def main(argv: list[str]) -> int:
     refs = {(name, i): referenced_names(node)
             for name, (_, tree) in modules.items() for i, node in enumerate(tree.body)}
     refs.update({("perfbench", i): referenced_names(tree) for i, tree in enumerate(bench)})
-    rows, options, test_only = {}, [], []
+    # a method is reached where its name is read more often than in its own def
+    reads = sum((attribute_reads(tree) for _, tree in modules.values()), Counter())
+    reads += sum((attribute_reads(tree) for tree in bench), Counter())
+    rows, options, methods, test_only = {}, [], [], []
     for name, (text, tree) in modules.items():
         unused = [n for i, node in enumerate(tree.body) for n in defined_names(node)
                   if not n.startswith("_") and not any(n in r for key, r in refs.items() if key != (name, i))]
+        own = public_methods(tree)
+        unused += [n for n, m in own if reads[m.name] == attribute_reads(m)[m.name]]
+        methods += [f"{name[:-3]}.{n}" for n, _ in own]
         test_only += [f"{name[:-3]}.{n}" for n in unused]
         named = settable_options(tree, name[:-3])
         options += named
         rows[name] = {
             "lines": text.count("\n"),
             "options": len(named),
-            "public": len(public_names(tree)),
+            "public": len(public_names(tree)) + len(own),
             "errstate": errstate_blocks(tree),
             "test-only": len(unused),
         }
@@ -138,6 +176,7 @@ def main(argv: list[str]) -> int:
     for name, r in rows.items():
         print(f"{name:<16}" + "".join(f"{r[k]:>11}" for k in COLUMNS))
     print("\nsettable options:", ", ".join(options) or "none")
+    print("public methods:", ", ".join(methods) or "none")
     print("test-only names:", ", ".join(test_only) or "none")
     return 0
 
