@@ -83,7 +83,6 @@ class ModulusEnvelope:
     envelope: np.ndarray
     fitted_c: float
     norm_reference: float
-    norm_choice: str
 
 
 def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float) -> np.ndarray:
@@ -128,7 +127,5 @@ def modulus_envelope(
     curve = k_linf_lip([v1, v2])
     hs, measured = curve.t_samples, curve.k_values
     env = envelope_curve(gy, hs, norm_ref)
-    return ModulusEnvelope(
-        h_samples=hs, measured=measured, envelope=env,
-        fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref, norm_choice=norm_choice,
-    )
+    return ModulusEnvelope(h_samples=hs, measured=measured, envelope=env,
+                           fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref)

@@ -101,16 +101,12 @@ class RearrangementProfile:
         out = np.where(idx < len(v), v[np.minimum(idx, len(v) - 1)], 0.0)
         return out if out.shape else float(out)
 
-    def integral(self, t):
-        """integral of f* over (0, t), exact on partial cells."""
-        return self.power_integral(t, 1.0)
-
     def double_star(self, t):
         """f**(t) = (1/t) integral of f* over (0, t), for t > 0."""
         t = np.asarray(t, dtype=float)
         if not np.all(t > 0.0):
             raise NonPositiveArgument(f"measure t must be > 0, got {t[~(t > 0.0)][0]}")
-        out = self.integral(t) / t
+        out = self.power_integral(t, 1.0) / t
         return out if out.shape else float(out)
 
     def power_integral(self, t, p: float):

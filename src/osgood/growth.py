@@ -249,7 +249,6 @@ class YudovichEvaluation:
     """y(r), the p attaining it, the _PATHS entry that found it, and whether that
     p is the grid top _P_TOP, where an objective still falling is cut off."""
 
-    r: float
     value: float
     argmin_p: float
     path: str
@@ -343,7 +342,7 @@ def _yudovich(g: GrowthFunction, r):
 def yudovich_eval(g: GrowthFunction, r: float) -> YudovichEvaluation:
     """y(r) for one r, with the p attaining it and how it was found."""
     values, argmins, path = _yudovich(g, float(r))
-    return YudovichEvaluation(r, float(values), float(argmins), _PATHS[int(path)], bool(argmins == _P_TOP))
+    return YudovichEvaluation(float(values), float(argmins), _PATHS[int(path)], bool(argmins == _P_TOP))
 
 
 def yudovich(g: GrowthFunction, r):
@@ -417,7 +416,6 @@ def lemma1_ratio_scan(g: GrowthFunction, r_grid: Sequence[float]) -> dict:
 
 @dataclass(frozen=True)
 class GrowthClassReport:
-    kappa: float
     passes: dict
     witness: dict
     doubling_constant: float
@@ -435,11 +433,11 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     1e-9 per sample; (ii) doubling with a constant at most _DOUBLING_CAP =
     1e6; (iii) e**(1/p) Pi(p) quasi-decreasing, sampled by
     _quasi_decreasing_witness from p = 1/2; (iv) sum_{j>=N} 2^(-j kappa) Pi(j)
-    <= C 2^(-N kappa) Pi(N) for the first _HEADS = 64 indices N, the tails
-    summed over _TAIL_TERMS = 4000 terms.  Failures are report entries with
-    witnesses, never exceptions; only a kappa that takes some j kappa of the
-    tail past the float range (not finite, or above about 4.5e304) raises
-    InvalidExponent.
+    <= C 2^(-N kappa) Pi(N) for the first _HEADS = 64 indices N, over
+    _TAIL_TERMS = 4000 terms, each ratio formed in logs.  Failures are report
+    entries with witnesses, never exceptions; only a kappa that takes some
+    j kappa of the tail past the float range (not finite, or above about
+    4.5e304) raises InvalidExponent.
     """
     if not abs((_TAIL_TERMS - 1) * float(kappa)) < math.inf:
         raise InvalidExponent(f"kappa = {kappa} takes the tail's j kappa past the float range")
@@ -462,9 +460,10 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
     if w3 is not None:
         witness["quasi_decreasing"] = w3
 
-    # condition (iv): geometric-tail domination, checked by direct summation
+    # condition (iv): geometric-tail domination
     js = np.arange(_TAIL_TERMS, dtype=float)
-    terms = g._eval(js, -js * kappa * math.log(2.0))
+    log_factor = -js * kappa * math.log(2.0)
+    terms = g._eval(js, log_factor)
     tail_ratio: float | None = None
     nonfinite = np.flatnonzero(~np.isfinite(terms))
     if len(nonfinite):
@@ -474,15 +473,18 @@ def pclass_check(g: GrowthFunction, kappa: float) -> GrowthClassReport:
         passes["tail_sum"] = False
         witness["tail_sum"] = "tail terms do not decay (sum diverges or overflows)"
     else:
-        tails, heads = np.cumsum(terms[::-1])[::-1][:_HEADS], terms[:_HEADS]
-        # tails >= heads >= 0: +inf where a head is 0 or the ratio overflows
-        ratios = np.divide(tails, heads, out=np.full(_HEADS, np.inf), where=heads > tails / np.finfo(float).max)
+        # each ratio sum_{j>=N} 2^(-(j-N) kappa) Pi(j) / Pi(N) in logs, as the terms underflow to 0
+        # once j kappa passes about 1074; +inf where a head is 0 or the ratio overflows
+        log_terms = g._eval(js, None) + log_factor
+        heads, log_tails = log_terms[:_HEADS], np.logaddexp.accumulate(log_terms[::-1])[::-1][:_HEADS]
+        log_ratios = np.subtract(log_tails, heads, out=np.full(_HEADS, np.inf), where=heads > -np.inf)
+        ratios = np.exp(log_ratios, out=np.full(_HEADS, np.inf), where=log_ratios <= _LOG_MAX)
         tail_ratio = float(ratios.max())
         passes["tail_sum"] = bool(np.isfinite(tail_ratio))
         if not passes["tail_sum"]:
             witness["tail_sum"] = int(np.argmax(~np.isfinite(ratios)))
 
-    return GrowthClassReport(kappa, passes, witness, c_dbl, tail_ratio)
+    return GrowthClassReport(passes, witness, c_dbl, tail_ratio)
 
 
 # -- Osgood integral test ----------------------------------------------------

@@ -58,17 +58,19 @@ class BandSequence:
 
 def k_lp_linf_profile(prof: RearrangementProfile, p0: float, t_grid) -> KCurve:
     """K(t) = (integral of (f*)^p0 over (0, t^p0))^(1/p0) on prof, t >= 0 (else
-    NonPositiveArgument).  For p0 >= 1, t is clamped at (2 |Omega|)^(1/p0)
-    before the power, so t^p0 cannot overflow: every measure past |Omega| reads
-    the whole integral.  For p0 < 1 a finite t^p0 cannot overflow, but the cap
-    could, so none.  Where t^p0 has underflowed below the smallest normal float,
-    and only there, K is t f*(0), exact while t^p0 lies in the first cell."""
+    NonPositiveArgument).  The measure t^p0 is capped at 2 |Omega|, t = inf
+    too: every measure past |Omega| reads the whole integral.  For p0 >= 1, t
+    is capped at (2 |Omega|)^(1/p0) before the power, which then cannot
+    overflow (for p0 < 1 that cap could).  Where t^p0 has underflowed below the
+    smallest normal float, and only there, K is t f*(0), exact while t^p0 lies
+    in the first cell."""
     _require_positive("p0", p0)
     t = np.asarray(t_grid, dtype=float)
     if not np.all(t >= 0.0):
         raise NonPositiveArgument(f"t must be >= 0, got {t[~(t >= 0.0)][0]}")
-    cap = (2.0 * prof.total_measure) ** (1.0 / p0) if p0 >= 1.0 else np.inf
-    measure = np.minimum(t, cap) ** p0
+    limit = 2.0 * prof.total_measure
+    cap = limit ** (1.0 / p0) if p0 >= 1.0 else np.inf
+    measure = np.minimum(np.minimum(t, cap) ** p0, limit)
     k = np.asarray(prof.power_integral(measure, p0) ** (1.0 / p0))
     under = measure < np.finfo(float).tiny
     k[under] = t[under] * prof.values[0]
@@ -255,12 +257,8 @@ def k_seq(seq: BandSequence, s0: float, s1: float, t):
     if not np.all(t >= 0.0):
         raise NonPositiveArgument(f"t must be >= 0, got {t[~(t >= 0.0)][0]}")
     low = _band_weights(js, norms, s0, "s0")
-    try:
-        high = _band_weights(js, np.zeros_like(norms), s1, "s1")
-    except InvalidExponent:
-        if np.any((t > 0.0) & (t < np.inf)):
-            raise
-        high = np.ones_like(js)  # any finite weight gives K(0) and K(inf) their bits
+    finite = np.any((t > 0.0) & (t < np.inf))
+    high = _band_weights(js, np.zeros_like(norms), s1, "s1") if finite else np.ones_like(js)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan products: fmin takes the s0 term
         out = np.sum(np.fmin(low, t[..., None] * high) * norms, axis=-1)
     return out if out.ndim else float(out)

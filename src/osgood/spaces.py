@@ -36,7 +36,6 @@ def default_p_grid(p0: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormReport:
-    space: str
     direct_value: float
     char_k: float
     char_rearr: float
@@ -70,8 +69,7 @@ def yudovich_norm(f: GridField, g: GrowthFunction, p0: float = 1.0) -> NormRepor
     small = ts <= math.exp(-1.0)
     char_small = _sup_finite_ratio(dd[small], ys[small]) if small.any() else char_rearr
     return NormReport(
-        space="yudovich", direct_value=direct, char_k=char_k,
-        char_rearr=char_rearr, char_rearr_star=char_rearr_star,
+        direct_value=direct, char_k=char_k, char_rearr=char_rearr, char_rearr_star=char_rearr_star,
         char_small_t=char_small, params={"growth": g.name, "p0": p0},
     )
 
@@ -91,9 +89,8 @@ def sharp_yudovich_norm(f: GridField, g: GrowthFunction, p0: float = _SHARP_P0) 
     char_k = extrapolation_sup(k_lp_linf_profile(prof, p0, _T_GRID), g, p0)
     char_rearr = _sup_finite_ratio(prof.star(ts), thetas)
     return NormReport(
-        space="sharp_yudovich", direct_value=direct, char_k=char_k,
-        char_rearr=char_rearr, char_rearr_star=char_rearr, char_small_t=char_rearr,
-        params={"growth": g.name, "p0": p0, "lambda": _LAMBDA},
+        direct_value=direct, char_k=char_k, char_rearr=char_rearr, char_rearr_star=char_rearr,
+        char_small_t=char_rearr, params={"growth": g.name, "p0": p0, "lambda": _LAMBDA},
     )
 
 

@@ -1,7 +1,8 @@
 """tools/design_metrics.py on a small package written to a temporary folder,
 with a perfbench/ folder next to its src/, as in the repository: every
-column of the table, and the settable options, public methods and test-only
-names printed under it; then the test-only names of the package itself."""
+column of the table, and the settable options, public methods, test-only
+names and write-only fields printed under it; then the test-only names and
+the write-only fields of the package itself."""
 
 import contextlib
 import importlib.util
@@ -131,15 +132,59 @@ class Plain:
 '''
 
 
-def run_tool(root, modules):
+# four dataclass fields: value is read by build and checked by the tests,
+# while echo is only a keyword, a dict key and a string, and label is only
+# assigned; _Hidden is private and Plain not a dataclass
+READS = '''\
+from dataclasses import dataclass
+
+
+@dataclass
+class Report:
+    value: float
+    echo: str
+    checked: bool
+    label: str
+
+
+@dataclass
+class _Hidden:
+    secret: int
+
+
+class Plain:
+    level: int = 3
+
+
+def build(r):
+    out = Report(value=1.0, echo="x", checked=True, label="l")
+    out.label = "m"
+    return out.value, {"echo": r}, getattr(out, "echo")
+'''
+TEST_READS = '''\
+import pytest
+
+
+@pytest.mark.parametrize("echo", [1])
+def test_report(r, echo):
+    assert r.checked
+'''
+
+
+def run_tool(root, modules, tests=None):
     """(rows by module as {column: value}, the lines under the table as
-    {label: names}) for a package of these modules under root/src/pkg."""
+    {label: names}) for a package of these modules under root/src/pkg, with
+    the test modules given under root/tests."""
     package = root / "src" / "pkg"
     package.mkdir(parents=True)
     for name, text in modules.items():
         (package / name).write_text(text)
     (root / "perfbench").mkdir()
     (root / "perfbench" / "bench.py").write_text(BENCH)
+    if tests:
+        (root / "tests").mkdir()
+        for name, text in tests.items():
+            (root / "tests" / name).write_text(text)
     return tool_report(package)
 
 
@@ -227,6 +272,20 @@ KEPT_TEST_ONLY = {
 def test_the_package_has_no_test_only_names_but_the_kept_ones():
     _, under = tool_report(TOOL.parents[1] / "src" / "osgood")
     assert set(under["test-only names"].split(", ")) == KEPT_TEST_ONLY
+
+
+def test_write_only_fields_are_read_by_no_attribute(report, tmp_path):
+    # a field read in the package or only in the tests is not listed; a
+    # keyword, a store, a dict key, a string or an argname does not read one
+    _, under = report
+    assert under["write-only fields"] == "none"
+    _, under = run_tool(tmp_path, {"__init__.py": "", "reads.py": READS}, {"test_reads.py": TEST_READS})
+    assert under["write-only fields"] == "reads.Report.echo, reads.Report.label"
+
+
+def test_the_package_has_no_write_only_fields():
+    _, under = tool_report(TOOL.parents[1] / "src" / "osgood")
+    assert under["write-only fields"] == "none"
 
 
 def test_options_count_defaulted_dataclass_fields(tmp_path):

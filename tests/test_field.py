@@ -82,7 +82,7 @@ class TestRearrange:
     def test_equimeasurable_l1(self):
         f = unit_field(rng.standard_normal((32, 32)))
         prof = rearrange(f)
-        assert prof.integral(prof.total_measure) == pytest.approx(lp_norm(f, 1.0), rel=1e-14)
+        assert prof.power_integral(prof.total_measure, 1.0) == pytest.approx(lp_norm(f, 1.0), rel=1e-14)
 
     def test_profile_invariants(self):
         f = unit_field(rng.standard_normal((32, 32)))
@@ -122,7 +122,7 @@ class TestRearrange:
         for bad in (0.0, -1.0, np.nan, np.array([0.5, 0.0])):
             with pytest.raises(NonPositiveArgument):
                 prof.double_star(bad)
-        assert prof.star(0.0) == prof.values[0] and prof.integral(0.0) == 0.0
+        assert prof.star(0.0) == prof.values[0] and prof.power_integral(0.0, 1.0) == 0.0
 
     def test_measures_past_the_profile(self):
         # t / cell_measure past the int64 range once cast to a negative index
@@ -158,11 +158,11 @@ class TestRearrange:
         # t / cell_measure overflowed at t = 1.7e308 ("overflow encountered in
         # divide"); every t past the profile reads as its end
         prof = rearrange(GridField(np.random.default_rng(6).standard_normal((16, 16))))
-        whole = prof.integral(2.0 * prof.total_measure)
+        whole = prof.power_integral(2.0 * prof.total_measure, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t in (1.7e308, np.finfo(float).max):
-                assert prof.star(t) == 0.0 and prof.integral(t) == whole
+                assert prof.star(t) == 0.0 and prof.power_integral(t, 1.0) == whole
                 assert prof.double_star(t) == whole / t
 
     def test_power_integral_past_the_float_range(self):

@@ -4,6 +4,7 @@ fault, or returns the stated finite value; Tier-1 turns every RuntimeWarning
 into an error, so none escapes.  The comment on each group says what it did
 before."""
 
+import math
 import warnings
 
 import numpy as np
@@ -37,6 +38,17 @@ def exact_k_form(seq, g, beta, kappa):
     ts = np.geomspace(2.0 ** (-(int(seq.js.max()) + 3) * kappa), 8.0, 96)
     k = [sum(min(2.0 ** (j * (beta - kappa)), t * 2.0 ** (j * beta)) * v for j, v in seq.entries) for t in ts.tolist()]
     return _sup_finite_ratio(np.array(k), ts * yudovich(g, 1.0 / ts))
+
+
+def tail_ratio_matches_direct_sum(g, kappa):
+    """pclass_check passes at kappa, and its tail ratio is the worst of
+    sum_{j>=N} 2^(-(j-N) kappa) Pi(j) / Pi(N) over the 64 heads N and 4000
+    terms, summed in Python floats, where 2^(-(j-N) kappa) underflows to 0
+    only past every term that counts."""
+    rep = pclass_check(g, kappa)
+    pis = [float(g(float(j))) for j in range(4000)]
+    direct = max(sum(2.0 ** (-(j - n) * kappa) * pis[j] for j in range(n, 4000)) / pis[n] for n in range(64))
+    return rep.all_pass and math.isclose(rep.tail_ratio, direct, rel_tol=1e-12)
 
 
 CASES = {
@@ -74,6 +86,18 @@ CASES = {
     "pclass_check kappa=-inf": (lambda: pclass_check(AFFINE, -np.inf), InvalidExponent, "kappa = -inf"),
     "pclass_check kappa=nan": (lambda: pclass_check(AFFINE, np.nan), InvalidExponent, "kappa = nan"),
     "pclass_check kappa=1.7e308": (lambda: pclass_check(AFFINE, 1.7e308), InvalidExponent, "kappa = 1.7e+308"),
+    # 2^(-N kappa) Pi(N) and its tail both underflowed to 0 past N kappa of
+    # about 1074, and 0/0 read as an infinite ratio at head 61 (kappa = 18)
+    "pclass_check kappa=18": (lambda: tail_ratio_matches_direct_sum(AFFINE, 18.0), None, True),
+    "pclass_check kappa=30": (lambda: tail_ratio_matches_direct_sum(AFFINE, 30.0), None, True),
+    # with the class check passing, 1 / t overflowed ("divide") at kappa = 175,
+    # and np.geomspace raised an untyped ValueError from t = 0 at kappa = 200
+    "thmve_equivalence_report kappa=170": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 170.0).k_form, None, exact_k_form(SEQ, AFFINE, 0.0, 170.0)),
+    "thmve_equivalence_report kappa=175": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 175.0), InvalidExponent, "kappa = 175"),
+    "thmve_equivalence_report kappa=200": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 200.0), InvalidExponent, "kappa = 200"),
     "thmve_equivalence_report kappa=inf": (
         lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, np.inf), InvalidExponent, "kappa = inf"),
     "thmve_equivalence_report kappa=-inf": (
@@ -114,6 +138,10 @@ CASES = {
     # the even power erased the sign: K(-1) read K(1)
     "k_lp_linf_profile t=-1": (
         lambda: k_lp_linf_profile(rearrange(FIELD), 2.0, [-1.0]), NonPositiveArgument, "t must be >= 0, got -1"),
+    # t^p0 = inf was passed on as a measure, and raised NonPositiveArgument
+    "k_lp_linf_profile p0=0.5 t=inf": (
+        lambda: k_lp_linf_profile(rearrange(FIELD), 0.5, [np.inf]).k_values[0], None,
+        rearrange(FIELD).power_integral(2.0 * FIELD.total_measure, 0.5) ** 2.0),
 }
 
 

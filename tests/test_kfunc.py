@@ -95,7 +95,7 @@ class TestKLpLinf:
         f = unit_field(rng.standard_normal((64, 64)))
         prof = rearrange(f)
         curve = k_lp_linf_profile(prof, 1.0, np.geomspace(1e-4, 10.0, 30))
-        assert np.allclose(curve.k_values, prof.integral(curve.t_samples), rtol=1e-14)
+        assert np.allclose(curve.k_values, prof.power_integral(curve.t_samples, 1.0), rtol=1e-14)
 
     def test_log_power_small_t_band(self):
         # oracle: quadrature of the clamped radial profile's rearrangement

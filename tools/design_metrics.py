@@ -6,7 +6,8 @@ For each module of the package: its lines (as `wc -l` counts them), its
 settable options, its public names, its `np.errstate` blocks and its
 test-only names, then the totals, and under the table the settable options
 by name (`module.def.param`, `module.Class.field`, nested defs and methods
-under their enclosing names), the public methods and the test-only names.
+under their enclosing names), the public methods, the test-only names and
+the write-only fields.
 
 - A settable option is a parameter with a default value in a `def`,
   nested ones included (a lambda's defaults are not counted), or a field
@@ -27,6 +28,11 @@ under their enclosing names), the public methods and the test-only names.
   (`x.name`) or a string constant, so a bare name never counts for it: a
   local or a field of the same name does not reach a method, and neither
   does a dict key.
+- A write-only field is a field of a public module-level dataclass that no
+  attribute read (`x.name` in load context) reaches, in the package, in
+  `perfbench/` or in `tests/` next to it, named `module.Class.field`.  Only
+  attributes count: a keyword argument, an assignment `x.name = ...`, a
+  string or a bare name of the same spelling does not read the field.
 """
 
 from __future__ import annotations
@@ -94,6 +100,19 @@ def public_methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")]
 
 
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(`Class.field`, field) for each annotated field of each public
+    module-level dataclass."""
+    return [(f"{node.name}.{s.target.id}", s.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and is_dataclass(node)
+            for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def loaded_attributes(tree: ast.AST) -> set[str]:
+    """The attribute names the tree reads (`x.name` in load context)."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def errstate_blocks(tree: ast.AST) -> int:
     """`with` statements that enter an `....errstate(...)` call."""
     return sum(
@@ -146,7 +165,11 @@ def parse(path: Path) -> tuple[str, ast.Module]:
 def main(argv: list[str]) -> int:
     package = Path(argv[1]) if len(argv) > 1 else DEFAULT_PACKAGE
     modules = {p.name: parse(p) for p in sorted(package.glob("*.py"))}
-    bench = [parse(p)[1] for p in sorted((package.parent.parent / "perfbench").glob("*.py"))]
+    root = package.parent.parent
+    bench = [parse(p)[1] for p in sorted((root / "perfbench").glob("*.py"))]
+    tests = [parse(p)[1] for p in sorted((root / "tests").glob("*.py"))]
+    trees = [tree for _, tree in modules.values()] + bench + tests
+    loaded = set().union(*map(loaded_attributes, trees))
     # references of each top-level statement, keyed by (module, position)
     refs = {(name, i): referenced_names(node)
             for name, (_, tree) in modules.items() for i, node in enumerate(tree.body)}
@@ -154,7 +177,7 @@ def main(argv: list[str]) -> int:
     # a method is reached where its name is read more often than in its own def
     reads = sum((attribute_reads(tree) for _, tree in modules.values()), Counter())
     reads += sum((attribute_reads(tree) for tree in bench), Counter())
-    rows, options, methods, test_only = {}, [], [], []
+    rows, options, methods, test_only, write_only = {}, [], [], [], []
     for name, (text, tree) in modules.items():
         unused = [n for i, node in enumerate(tree.body) for n in defined_names(node)
                   if not n.startswith("_") and not any(n in r for key, r in refs.items() if key != (name, i))]
@@ -162,6 +185,7 @@ def main(argv: list[str]) -> int:
         unused += [n for n, m in own if reads[m.name] == attribute_reads(m)[m.name]]
         methods += [f"{name[:-3]}.{n}" for n, _ in own]
         test_only += [f"{name[:-3]}.{n}" for n in unused]
+        write_only += [f"{name[:-3]}.{n}" for n, attr in dataclass_fields(tree) if attr not in loaded]
         named = settable_options(tree, name[:-3])
         options += named
         rows[name] = {
@@ -178,6 +202,7 @@ def main(argv: list[str]) -> int:
     print("\nsettable options:", ", ".join(options) or "none")
     print("public methods:", ", ".join(methods) or "none")
     print("test-only names:", ", ".join(test_only) or "none")
+    print("write-only fields:", ", ".join(write_only) or "none")
     return 0
 
 
