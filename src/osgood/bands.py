@@ -170,18 +170,19 @@ def thmve_equivalence_report(source: BandSequence, g: GrowthFunction,
     _ALPHA_POINTS = 32 intermediate Besov exponents alpha with weight
     Pi(1/(beta - alpha)).  Each sup is the largest finite ratio, 0.0 if none
     is.  The growth must pass pclass_check at kappa, and InvalidExponent names
-    a kappa taking the least t, 2^(-(j_max + 3) kappa), below the normal floats.
+    a kappa taking the last crossover of K, 2^(-j_max kappa), below the normal
+    floats; the t grid starts three bands below it, or at the least normal.
     """
     rep = pclass_check(g, kappa)
     if not rep.all_pass:
         raise HypothesisViolated(f"growth {g.name} fails the partial-sum class check: {rep.passes}")
     j_max = int(source.js.max()) if len(source.entries) else 0
-    if (j_max + 3) * kappa > 1022.0:
-        raise InvalidExponent(f"kappa = {kappa:g} takes the least t = 2^(-{j_max + 3} kappa) below the normal floats")
+    if j_max * kappa > 1022.0:
+        raise InvalidExponent(f"kappa = {kappa:g} takes the last crossover 2^(-{j_max} kappa) below the normal floats")
 
     a_val = vishik_norm(source, g, beta) + besov_norm_seq(source, beta - kappa)
 
-    ts = np.geomspace(2.0 ** (-(j_max + 3) * kappa), 8.0, 96)
+    ts = np.geomspace(max(2.0 ** (-(j_max + 3) * kappa), np.finfo(float).tiny), 8.0, 96)
     b_val = _sup_finite_ratio(k_seq(source, beta - kappa, beta, ts), ts * yudovich(g, 1.0 / ts))
 
     pad = 0.02 * kappa

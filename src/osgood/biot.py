@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .bands import besov_norm, decompose, vishik_norm
-from .errors import InvalidArgument, InvalidExponent, NonPositiveArgument, NonZeroMean
+from .errors import InvalidExponent, NonPositiveArgument, NonZeroMean
 from .field import GridField, _fourier_grid, rearrange, sharp_maximal
 from .growth import _LOG_MAX, _R_MIN, GrowthFunction, theta1, yudovich
 from .kfunc import _sup_finite_ratio, k_linf_lip
@@ -88,7 +87,10 @@ class ModulusEnvelope:
 def envelope_curve(g: GrowthFunction, h_samples, norm_reference: float) -> np.ndarray:
     """h * y(1/h) * N, y the Yudovich function of g as given (the caller lifts
     it) and N = norm_reference: NonPositiveArgument unless N is finite and >= 0
-    and each h is finite and > 2^-1024, the least h whose 1/h is finite."""
+    and each h is finite and > 2^-1024, the least h whose 1/h is finite.  The
+    caller chooses the pairing: modulus_envelope takes the sharp one; Vishik's
+    is envelope_curve(g, k_linf_lip([v1, v2]).t_samples, vishik_norm(d, g, beta)
+    + besov_norm(d, beta - 1.0)) with d = decompose(omega, warn_nyquist=False)."""
     if not (math.isfinite(norm_reference) and norm_reference >= 0.0):
         raise NonPositiveArgument(f"norm_reference must be finite and >= 0, got {norm_reference}")
     hs = np.asarray(h_samples, dtype=float)
@@ -102,30 +104,18 @@ def modulus_envelope(
     omega: GridField,
     beta: float,
     g: GrowthFunction,
-    norm_choice: str = "sharp_yudovich",
     velocity: tuple[GridField, GridField] | None = None,
 ) -> ModulusEnvelope:
-    """Measured velocity modulus against the envelope envelope_curve(gy, h, N),
-    N taken before any velocity work.  In the classical "sharp_yudovich"
-    pairing N is sup_p ||M omega||_p / Theta(p) over default_p_grid(4), M the
-    sharp maximal function at lambda = 1/4 (sharp_yudovich_norm's direct value
-    alone), and gy the lifted growth p * Theta(p); for "vishik", N is the
-    Vishik plus Besov band sums and gy = g.  fitted_c is the smallest constant
-    making the envelope dominate the measured modulus on the sample set:
-    k_linf_lip's 48-point h grid from the grid spacing to half the side.
-    """
-    if norm_choice == "sharp_yudovich":
-        norm_ref, gy = spaces._direct(rearrange(sharp_maximal(omega)), g, spaces._SHARP_P0), theta1(g)
-    elif norm_choice == "vishik":
-        d = decompose(omega, warn_nyquist=False)
-        norm_ref, gy = vishik_norm(d, g, beta) + besov_norm(d, beta - 1.0), g
-    else:
-        raise InvalidArgument(f"unknown norm choice {norm_choice!r}")
-    if velocity is None:
-        velocity = biot_savart(omega, beta)
-    v1, v2 = velocity
+    """Measured velocity modulus (k_linf_lip's 48 h from the grid spacing to
+    half the side) against envelope_curve(theta1(g), h, N), N taken before any
+    velocity work: sup_p ||M omega||_p / Theta(p) over default_p_grid(4), M the
+    sharp maximal function (sharp_yudovich_norm's direct value alone).  The
+    velocity is biot_savart(omega, beta) unless given; fitted_c is the least
+    constant making the envelope dominate the measured modulus there."""
+    norm_ref = spaces._direct(rearrange(sharp_maximal(omega)), g, spaces._SHARP_P0)
+    v1, v2 = biot_savart(omega, beta) if velocity is None else velocity
     curve = k_linf_lip([v1, v2])
     hs, measured = curve.t_samples, curve.k_values
-    env = envelope_curve(gy, hs, norm_ref)
+    env = envelope_curve(theta1(g), hs, norm_ref)
     return ModulusEnvelope(h_samples=hs, measured=measured, envelope=env,
                            fitted_c=_sup_finite_ratio(measured, env), norm_reference=norm_ref)

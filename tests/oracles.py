@@ -1,9 +1,11 @@
 """Identities of the paper's objects that only the tests check: the shape of
 a sampled K-functional, the pairwise ratios of a norm report's forms, and
-the sum of a dyadic decomposition's bands."""
+the sum of a dyadic decomposition's bands; and the |log rho| vorticity that
+both the velocity envelope and the Vishik norm are measured on."""
 
 import numpy as np
 
+from osgood.field import Domain, GridField
 from osgood.kfunc import _ratio
 
 RTOL = 1e-9  # check_shape's relative round-off allowance
@@ -46,3 +48,12 @@ def reconstruct(decomp) -> np.ndarray:
     for _, b in decomp.bands:
         total = total + b.data
     return total
+
+
+def log_patch(n, alpha):
+    """|log rho|^(1 + alpha) about the centre of the 2 pi torus, rho floored at
+    half a cell (the centre is a grid point), mean removed."""
+    x = np.arange(n) * (2.0 * np.pi / n)
+    rho = np.hypot(x[:, None] - np.pi, x[None, :] - np.pi)
+    w = np.abs(np.log(np.maximum(rho, np.pi / n))) ** (1.0 + alpha)
+    return GridField(w - w.mean(), Domain.TORUS_2PI)

@@ -22,7 +22,7 @@ from osgood.errors import AliasRisk, HypothesisViolated, InvalidExponent, NonPos
 from osgood.field import Domain, GridField, _fourier_grid, dyadic_bmo_norm
 from osgood.growth import GrowthFunction
 from osgood.kfunc import BandSequence
-from oracles import reconstruct
+from oracles import log_patch, reconstruct
 
 rng = np.random.default_rng(42)
 CONST = GrowthFunction.constant(1.0, p0=1.0)
@@ -264,6 +264,20 @@ class TestBesovVishik:
         xx, _ = grid_xy(64)
         with pytest.raises(InvalidExponent, match="beta must be finite"):
             vishik_norm(decompose(torus_field(np.cos(xx))), CONST, beta)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_vishik_reference_grows_like_log_n(self, alpha):
+        # expected, not a defect: the band norms of |log rho| are of order 1 in
+        # every band, so the Vishik sum over the log2(n) bands a grid resolves,
+        # and with it the norm, gains about the same amount (0.6 to 0.74 here)
+        # at each doubling of n, for Theta = (p+1)^alpha; the velocity
+        # envelope's Vishik pairing, beta = 0, takes it as N
+        g = GrowthFunction.power(alpha, shift=1.0)
+        ref = []
+        for n in (32, 64, 128):
+            d = decompose(log_patch(n, alpha), warn_nyquist=False)
+            ref.append(vishik_norm(d, g, 0.0) + besov_norm(d, -1.0))
+        assert np.all((np.diff(ref) > 0.5) & (np.diff(ref) < 0.8))
 
 
 class TestEquivalenceReport:

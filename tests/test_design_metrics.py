@@ -1,8 +1,8 @@
 """tools/design_metrics.py on a small package written to a temporary folder,
 with a perfbench/ folder next to its src/, as in the repository: every
 column of the table, and the settable options, public methods, test-only
-names and write-only fields printed under it; then the test-only names and
-the write-only fields of the package itself."""
+names and write-only fields printed under it; then the test-only names, the
+settable options and the write-only fields of the package itself."""
 
 import contextlib
 import importlib.util
@@ -272,6 +272,27 @@ KEPT_TEST_ONLY = {
 def test_the_package_has_no_test_only_names_but_the_kept_ones():
     _, under = tool_report(TOOL.parents[1] / "src" / "osgood")
     assert set(under["test-only names"].split(", ")) == KEPT_TEST_ONLY
+
+
+# every parameter with a default in the package, and every defaulted field of
+# a public dataclass: a new option is a deliberate edit of this set
+SETTABLE_OPTIONS = {
+    "bands.decompose.warn_nyquist", "bands.vishik_norm.beta", "biot.biot_savart.beta",
+    "biot.modulus_envelope.velocity", "field.GridField.domain", "growth.GrowthFunction.params",
+    "growth.GrowthFunction.constant.value", "growth.GrowthFunction.constant.p0", "growth.GrowthFunction.power.p0",
+    "growth.GrowthFunction.power.shift", "growth.GrowthFunction.log_power.log_alphas",
+    "growth.GrowthFunction.log_power.p0", "growth.GrowthFunction.log_power.shifted",
+    "growth.GrowthFunction.from_callable.p0", "growth.GrowthFunction.from_table.p0", "growth.OsgoodSpec.epsilon_L",
+    "growth.OsgoodSpec.orientation", "growth.osgood_from_growth.orientation", "growth.osgood_from_growth.lift",
+    "spaces.yudovich_norm.p0", "spaces.sharp_yudovich_norm.p0",
+}
+
+
+def test_the_package_has_no_settable_options_but_the_pinned_ones():
+    table, under = tool_report(TOOL.parents[1] / "src" / "osgood")
+    names = under["settable options"].split(", ")
+    assert set(names) == SETTABLE_OPTIONS
+    assert len(names) == table["total"]["options"] == 21
 
 
 def test_write_only_fields_are_read_by_no_attribute(report, tmp_path):

@@ -10,14 +10,19 @@ import warnings
 import numpy as np
 import pytest
 
-from osgood.bands import besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
-from osgood.biot import envelope_curve, modulus_envelope
+from osgood.bands import band_profile, besov_norm, besov_norm_seq, decompose, thmve_equivalence_report, vishik_norm
+from osgood.biot import biot_savart, envelope_curve, modulus_envelope
 from osgood.errors import InvalidExponent, InvalidField, NonPositiveArgument, OsgoodError
-from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp, rearrange
-from osgood.growth import GrowthFunction, pclass_check, theta1, yudovich, yudovich_eval
-from osgood.kfunc import (
-    BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_linf, k_lp_linf_profile, k_seq, modulus_of_continuity,
+from osgood.field import GridField, dyadic_bmo_norm, fefferman_stein_sharp, lp_norm, rearrange
+from osgood.growth import (
+    GrowthFunction, OsgoodOrientation, OsgoodSpec, osgood_from_growth, osgood_test, pclass_check, theta1, yudovich,
+    yudovich_eval,
 )
+from osgood.kfunc import (
+    BandSequence, _sup_finite_ratio, extrapolation_sup, k_lp_bmo, k_lp_linf, k_lp_linf_profile, k_seq,
+    modulus_of_continuity,
+)
+from osgood.spaces import default_p_grid, sharp_yudovich_norm, yudovich_norm
 
 FIELD = GridField(np.random.default_rng(7).standard_normal((16, 16)))
 DECOMP = decompose(FIELD, warn_nyquist=False)
@@ -34,8 +39,9 @@ BETA_EDGE = 1023.0 / 3 - 1e-9  # 2^(3 beta) is finite, t 2^(3 beta) is not for t
 def exact_k_form(seq, g, beta, kappa):
     """thmve_equivalence_report's K form, sup_t K(t) / (t y(1/t)) over its 96
     t, with the sequence K summed in Python floats, where a product past the
-    floats is a silent inf and min keeps the 2^(j (beta - kappa)) term."""
-    ts = np.geomspace(2.0 ** (-(int(seq.js.max()) + 3) * kappa), 8.0, 96)
+    floats is a silent inf and min keeps the 2^(j (beta - kappa)) term; the t
+    grid starts three bands below the last crossover, or at the least normal."""
+    ts = np.geomspace(max(2.0 ** (-(int(seq.js.max()) + 3) * kappa), np.finfo(float).tiny), 8.0, 96)
     k = [sum(min(2.0 ** (j * (beta - kappa)), t * 2.0 ** (j * beta)) * v for j, v in seq.entries) for t in ts.tolist()]
     return _sup_finite_ratio(np.array(k), ts * yudovich(g, 1.0 / ts))
 
@@ -91,13 +97,17 @@ CASES = {
     "pclass_check kappa=18": (lambda: tail_ratio_matches_direct_sum(AFFINE, 18.0), None, True),
     "pclass_check kappa=30": (lambda: tail_ratio_matches_direct_sum(AFFINE, 30.0), None, True),
     # with the class check passing, 1 / t overflowed ("divide") at kappa = 175,
-    # and np.geomspace raised an untyped ValueError from t = 0 at kappa = 200
+    # and np.geomspace raised an untyped ValueError from t = 0 at kappa = 200;
+    # the t grid now stops at the least normal float, and only a last
+    # crossover 2^(-3 kappa) below it (kappa > 1022 / 3) is refused
     "thmve_equivalence_report kappa=170": (
         lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 170.0).k_form, None, exact_k_form(SEQ, AFFINE, 0.0, 170.0)),
     "thmve_equivalence_report kappa=175": (
-        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 175.0), InvalidExponent, "kappa = 175"),
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 175.0).k_form, None, exact_k_form(SEQ, AFFINE, 0.0, 175.0)),
     "thmve_equivalence_report kappa=200": (
-        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 200.0), InvalidExponent, "kappa = 200"),
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 200.0).k_form, None, exact_k_form(SEQ, AFFINE, 0.0, 200.0)),
+    "thmve_equivalence_report kappa=341": (
+        lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, 341.0), InvalidExponent, "kappa = 341"),
     "thmve_equivalence_report kappa=inf": (
         lambda: thmve_equivalence_report(SEQ, AFFINE, 0.0, np.inf), InvalidExponent, "kappa = inf"),
     "thmve_equivalence_report kappa=-inf": (
@@ -180,6 +190,39 @@ def envelope_values(beta):
     return np.concatenate([env.measured, env.envelope, [env.fitted_c]])
 
 
+def equivalence_forms(rep):
+    return [rep.partial_sum_form, rep.k_form, rep.alpha_sup_form]
+
+
+def norm_forms(rep):
+    return [rep.direct_value, rep.char_k, rep.char_rearr, rep.char_rearr_star, rep.char_small_t]
+
+
+def growth_values(g):
+    """Theta at p = 1, 2, 10 and y on both sides of r."""
+    return np.concatenate([g(np.array([1.0, 2.0, 10.0])), yudovich(g, R_BOTH_SIDES)])
+
+
+def class_values(kappa):
+    """pclass_check's doubling constant, and its tail ratio where the tail
+    check passes (a failing one has a witness and no ratio)."""
+    rep = pclass_check(AFFINE, kappa)
+    return [rep.doubling_constant] + ([rep.tail_ratio] if rep.passes["tail_sum"] else [])
+
+
+def evaluation_values(ev):
+    return [ev.value, ev.argmin_p]
+
+
+def march_values(spec):
+    res = osgood_test(spec)
+    return np.concatenate([[res.partial_integral], res.trace.ravel()])
+
+
+def osgood_power(orientation):
+    return lambda x: march_values(osgood_from_growth(GrowthFunction.power(x), orientation))
+
+
 SWEEP = {
     "k_seq s0": lambda x: k_seq(SEQ, x, 1.5, 1.0),
     "k_seq s1": lambda x: k_seq(SEQ, 0.5, x, 1.0),
@@ -194,6 +237,34 @@ SWEEP = {
     "yudovich power alpha": lambda x: yudovich(GrowthFunction.power(x, p0=2.0), R_BOTH_SIDES),
     "yudovich log-power alpha": lambda x: yudovich(GrowthFunction.log_power(x, (1.0,)), R_BOTH_SIDES),
     "yudovich log-power p0": lambda x: yudovich(GrowthFunction.log_power(1.0, (1.0,), p0=x), R_BOTH_SIDES),
+    "besov_norm_seq beta": lambda x: besov_norm_seq(SEQ, x),
+    "vishik_norm beta": lambda x: vishik_norm(SEQ, AFFINE, x),
+    "thmve_equivalence_report beta": lambda x: equivalence_forms(thmve_equivalence_report(SEQ, AFFINE, x, 1.0)),
+    "thmve_equivalence_report kappa": lambda x: equivalence_forms(thmve_equivalence_report(SEQ, AFFINE, 0.0, x)),
+    "pclass_check kappa": class_values,
+    "extrapolation_sup p0": lambda x: extrapolation_sup(CURVE, AFFINE, x),
+    "k_lp_linf p0": lambda x: k_lp_linf(FIELD, x).k_values,
+    "k_lp_bmo p0": lambda x: k_lp_bmo(FIELD, x).k_values,
+    "lp_norm p": lambda x: lp_norm(FIELD, x),
+    "power_integral p": lambda x: PROFILE.power_integral(1.0, x),
+    "power_integral t": lambda x: PROFILE.power_integral(x, 2.0),
+    "star t": PROFILE.star,
+    "double_star t": PROFILE.double_star,
+    "default_p_grid p0": default_p_grid,
+    "yudovich_norm p0": lambda x: norm_forms(yudovich_norm(FIELD, AFFINE, x)),
+    "sharp_yudovich_norm p0": lambda x: norm_forms(sharp_yudovich_norm(FIELD, AFFINE, x)),
+    "biot_savart beta": lambda x: np.concatenate([v.data for v in biot_savart(MEAN_FREE, x)]),
+    "GrowthFunction.constant value": lambda x: growth_values(GrowthFunction.constant(x)),
+    "GrowthFunction.constant p0": lambda x: growth_values(GrowthFunction.constant(1.0, x)),
+    "GrowthFunction.power shift": lambda x: growth_values(GrowthFunction.power(1.0, shift=x)),
+    "band_profile rho": band_profile,
+    "yudovich r": lambda x: yudovich(AFFINE, x),
+    "yudovich_eval r": lambda x: evaluation_values(yudovich_eval(AFFINE, x)),
+    # np.sqrt, as a modulus r log(1/r) overflows in its own arithmetic at 1.7e308
+    "OsgoodSpec epsilon_L": lambda x: march_values(OsgoodSpec(np.sqrt, x)),
+    "osgood_test power alpha zero end": osgood_power(OsgoodOrientation.ZERO_END),
+    "osgood_test power alpha infinity end": osgood_power(OsgoodOrientation.INFINITY_END),
+    "envelope_curve h lifted p log p": lambda x: envelope_curve(theta1(LOG_POWER), [x], 1.0),
 }
 
 

@@ -3,16 +3,22 @@ sees only distances and differences, so it is unchanged by every dihedral
 map, integer roll and negation, and scales with the field; the sharp
 maximal function's dyadic cubes map onto dyadic cubes under the dihedral
 maps, so it moves as its input does, and an oscillation is unchanged by
-negation and doubled with the field.  None of these relations trusts the
-algorithm, and every one holds bit for bit: min, max and fl(a - b) do not
-depend on the order in which samples are visited, and scaling by 2 is exact.
+negation and doubled with the field.  The norm reports read a field only
+through the rearrangement of |f| or of its sharp maximal function, so the
+plain report is unchanged by every dihedral map and roll, the sharp one by
+the dihedral maps (a roll moves the dyadic cubes), and the L^p forms double
+with the field.  None of these relations trusts the algorithm, and every one
+holds bit for bit: min, max, sorting and fl(a - b) do not depend on the
+order in which samples are visited, and scaling by 2 is exact.
 """
 
 import numpy as np
 import pytest
 
-from osgood.field import Domain, GridField, sharp_maximal
+from osgood.field import Domain, GridField, dyadic_bmo_norm, sharp_maximal
+from osgood.growth import GrowthFunction
 from osgood.kfunc import _h_grid, modulus_of_continuity
+from osgood.spaces import sharp_yudovich_norm, yudovich_norm
 
 
 def log_singular(n):
@@ -36,7 +42,12 @@ DIHEDRAL = {
     "flip columns": lambda a: a[:, ::-1],
     "rot90": np.rot90,
 }
-MAPS = {**DIHEDRAL, "roll (3, 5)": lambda a: np.roll(a, (3, 5), axis=(0, 1)), "negate": np.negative}
+ROLLS = {
+    "roll (3, 5)": lambda a: np.roll(a, (3, 5), axis=(0, 1)),
+    "roll (1, 0)": lambda a: np.roll(a, (1, 0), axis=(0, 1)),
+}
+MAPS = {**DIHEDRAL, "roll (3, 5)": ROLLS["roll (3, 5)"], "negate": np.negative}
+GROWTH = GrowthFunction.power(1.0)
 
 
 def field(kind, n):
@@ -70,3 +81,27 @@ def test_sharp_maximal_moves_with_its_input(kind, n):
         assert np.array_equal(sharp_maximal(unit(m(f.data))).data, m(base)), name
     assert np.array_equal(sharp_maximal(unit(-f.data)).data, base)
     assert np.array_equal(sharp_maximal(unit(2.0 * f.data)).data, 2.0 * base)
+
+
+def forms(report):
+    return report.direct_value, report.char_k
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", FIELDS)
+def test_reports_are_invariant_and_homogeneous(kind, n, domain):
+    def on(data):
+        return GridField(np.ascontiguousarray(data), domain)
+
+    data = field(kind, n)
+    plain, sharp = yudovich_norm(on(data), GROWTH), sharp_yudovich_norm(on(data), GROWTH)
+    for name, m in DIHEDRAL.items():
+        assert forms(yudovich_norm(on(m(data)), GROWTH)) == forms(plain), name
+        assert forms(sharp_yudovich_norm(on(m(data)), GROWTH)) == forms(sharp), name
+    for name, m in ROLLS.items():
+        assert forms(yudovich_norm(on(m(data)), GROWTH)) == forms(plain), name
+    doubled = on(2.0 * data)
+    assert forms(yudovich_norm(doubled, GROWTH)) == (2.0 * plain.direct_value, 2.0 * plain.char_k)
+    assert sharp_yudovich_norm(doubled, GROWTH).direct_value == 2.0 * sharp.direct_value
+    assert dyadic_bmo_norm(doubled) == 2.0 * dyadic_bmo_norm(on(data))
