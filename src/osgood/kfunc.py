@@ -112,32 +112,94 @@ def _chords(h: float, spacing: float, half: int) -> np.ndarray:
     return np.minimum(np.floor(np.sqrt(np.maximum(chord2, 0.0)) + 1e-12), half).astype(int)
 
 
-def _sweep(v: np.ndarray, padded: np.ndarray, chords: list) -> list:
-    """max of v - lower for each disc of chords, from one widening sweep:
-    one running row-minimum widens a column offset at a time, against slices
-    of v padded by n//2 columns on each side, up to the widest chord.  At
-    width w it fills the entries [dy, w] the discs read of one (n/2 + 1)^2
-    table, max of v - min(rowmin at +dy, rowmin at -dy), wrapped, in one
-    n x n scratch array.  A disc's result is the largest of its [dy, bx(dy)].
+_GATHER = 2 ** 13  # the most row windows one chunk of exact disc minima reads
+
+
+class _DiscSearch:
+    """The pruned search for the largest v - lower of one component, disc
+    after disc in ascending h, each disc of a = len(bx) - 1 >= 1.
+
+    The floor it is given is raised to max(v - min of the four axis
+    neighbours), which every such disc holds.  The bound: the disc lies in
+    the wrapped box of side W = min(2a + 1, n) about each sample x, so U(x)
+    = v(x) - (min of v over that box) is at least x's v - lower, exactly in
+    floats since fl(p - q) is monotone in q.  The box minimum is four reads
+    of one square-min level (the min over 2^k x 2^k, 2^k <= W, advanced in
+    place as a grows), one box per distinct a.  Only the samples with U
+    above the floor are live; they are visited in descending U, in chunks
+    that double up to _GATHER row windows, and each one's exact disc
+    minimum is two reads per row offset of the row-min pyramid, whose level
+    k is the min over 2^k columns: a row window of width min(2 bx + 1, n)
+    is two overlapping power-of-two windows.  The search stops once the
+    next U is at most the best value.  The pyramid holds the levels 0..top,
+    top the level of the widest chord the search can be asked for, and is
+    built when a disc first has a live sample.  A disc with the chords of
+    the one before it returns that one's value.
     """
-    n = v.shape[0]
-    half = n // 2
-    reads = np.zeros((half + 1, half + 1), bool)  # the entries [dy, w] some disc reads
-    for bx in chords:
-        reads[np.arange(len(bx)), bx] = True
-    table = np.full(reads.shape, np.nan)
-    rowmin, low = v.copy(), np.empty_like(v)
-    for w in range(max((int(bx[0]) for bx in chords), default=-1) + 1):
-        if w:
-            np.minimum(rowmin, padded[:, half + w:half + w + n], out=rowmin)
-            np.minimum(rowmin, padded[:, half - w:half - w + n], out=rowmin)
-        for dy in np.flatnonzero(reads[:, w]):
-            # low[r] = min(rowmin[r + dy], rowmin[r - dy]) where neither, r - dy or r + dy wraps
-            np.minimum(rowmin[2 * dy:], rowmin[:n - 2 * dy], out=low[dy:n - dy])
-            np.minimum(rowmin[dy:2 * dy], rowmin[n - dy:], out=low[:dy])
-            np.minimum(rowmin[:dy], rowmin[n - 2 * dy:n - dy], out=low[n - dy:])
-            table[dy, w] = np.subtract(v, low, out=low).max()
-    return [float(table[np.arange(len(bx)), bx].max()) for bx in chords]
+
+    def __init__(self, v: np.ndarray, top: int):
+        self.v, self.n, self.top = np.ascontiguousarray(v), v.shape[0], top
+        low = np.roll(self.v, 1, 0)
+        for shift, axis in ((-1, 0), (1, 1), (-1, 1)):
+            np.minimum(low, np.roll(self.v, shift, axis), out=low)
+        self.neighbours = float(np.subtract(self.v, low, out=low).max())
+        self.square, self.side = self.v, 1  # square[r, c] = min of v over [r, r + side) x [c, c + side)
+        self.box_a, self.bound = -1, None  # U, flat, for the wrapped box of half-width box_a
+        self.rows = None  # the row-min pyramid, level k flat in rows[k]
+        self.last = (), 0.0  # the chords searched last and their value
+
+    def _bound(self, a: int) -> np.ndarray:
+        if a != self.box_a:
+            self.bound = None  # released before the next one is formed
+            w = min(2 * a + 1, self.n)
+            while 2 * self.side <= w:
+                self.square = np.minimum(self.square, np.roll(self.square, -self.side, 1))
+                np.minimum(self.square, np.roll(self.square, -self.side, 0), out=self.square)
+                self.side *= 2
+            d = w - self.side
+            box = np.minimum(self.square, np.roll(self.square, -d, 1))
+            np.minimum(box, np.roll(box, -d, 0), out=box)
+            box = np.roll(box, (a, a), (0, 1))
+            self.box_a, self.bound = a, np.subtract(self.v, box, out=box).ravel()
+        return self.bound
+
+    def _pyramid(self) -> np.ndarray:
+        if self.rows is None:
+            n = self.n
+            self.rows = np.empty((self.top + 1, n * n))
+            self.rows[0] = self.v.ravel()
+            for k in range(1, self.top + 1):
+                below = self.rows[k - 1].reshape(n, n)
+                np.minimum(below, np.roll(below, -(1 << (k - 1)), 1), out=self.rows[k].reshape(n, n))
+        return self.rows
+
+    def largest(self, bx: np.ndarray, floor: float) -> float:
+        """max(floor, largest v - lower over the disc of chords bx), for a
+        floor no larger than the modulus at bx's h."""
+        if np.array_equal(bx, self.last[0]):
+            return max(floor, self.last[1])
+        n, a = self.n, len(bx) - 1
+        best = max(floor, self.neighbours)
+        bound = self._bound(a)
+        live = np.flatnonzero(bound > best)
+        if len(live):
+            live = live[np.argsort(-bound[live], kind="stable")]
+            dy = np.arange(-a, a + 1)
+            b = bx[np.abs(dy)]
+            w = np.minimum(2 * b + 1, n)
+            k = np.frexp(w)[1].astype(np.intp) - 1  # 2^k <= w < 2^(k + 1)
+            rows, level = self._pyramid(), k * (n * n)
+            first, second = -b, w - (1 << k) - b
+            start, size, cap = 0, 1, max(1, _GATHER // len(dy))
+            while start < len(live) and bound[live[start]] > best:
+                chunk = live[start:start + size]
+                r, c = np.divmod(chunk[:, None], n)
+                at = level + (r + dy) % n * n
+                lower = np.minimum(rows.take(at + (c + first) % n), rows.take(at + (c + second) % n)).min(1)
+                best = max(best, float((self.v.ravel()[chunk] - lower).max()))
+                start, size = start + size, min(2 * size, cap)
+        self.last = bx, best
+        return best
 
 
 def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values) -> np.ndarray:
@@ -148,20 +210,28 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
     largest v - lower, lower the minimum of v over the disc about each
     sample.  For vector data the maximum over components is taken,
     components running in order of decreasing oscillation max - min, which
-    bounds their modulus.  Per component and h:
+    bounds their modulus.  Each component walks the h in ascending order
+    (a stable argsort) with a running floor: the largest value written for
+    a smaller or equal h and the components done already, each at most the
+    final modulus at h, which never falls as h grows.  Per component and h:
 
-    - h is skipped when the components done already reach the oscillation;
+    - h is skipped when the floor reaches the oscillation, and a disc of
+      a = 0 reads v - v = 0, below any floor;
     - when the disc holds the shortest wrapped offset from v.argmax() to
       v.argmin(), the modulus is max - min, the difference the envelope
-      would give; a tied pair nearer than that one is left to the sweep;
-    - otherwise `_sweep` takes h, in one widening sweep per component.
+      would give; a tied pair nearer than that one is left to the search;
+    - otherwise `_DiscSearch.largest` takes the exact disc minimum only at
+      the samples whose box bound is above the floor.
 
-    min and max are exact and fl(a - b) is monotone in b, so each route gives
-    the same bits.  Work is one row-minimum sweep per component plus O(n^2)
-    per table entry read.  Components that are not square 2-d arrays of one
-    shape (one spacing measures them all) and of finite samples raise
-    InvalidField; a spacing not finite and > 0, or an h not finite,
-    NonPositiveArgument (h < 0 is an empty disc).
+    min and max are exact and fl(a - b) is monotone in b, so each route and
+    each floor gives the same bits.  Work per searched disc is O(n^2) for
+    its box bound plus O(a) per sample visited.  Memory is a few n^2
+    arrays and the row pyramid, which has up to floor(log2 n) + 1 levels of
+    n^2 doubles, one per power of two up to the widest searched chord.
+    Components that are not square 2-d arrays of one shape (one spacing
+    measures them all) and of finite samples raise InvalidField; a spacing
+    not finite and > 0, or an h not finite, NonPositiveArgument (h < 0 is an
+    empty disc, read as 0).
     """
     hs = np.atleast_1d(np.asarray(h_values, dtype=float))
     _require_positive("spacing", spacing)
@@ -176,24 +246,23 @@ def modulus_of_continuity(fields: Sequence[np.ndarray], spacing: float, h_values
         # a nan, or inf - inf, in v - lower would read as a zero modulus
         raise InvalidField("component samples must be finite")
     n = comps[0].shape[0]
-    half = n // 2
-    chords = [_chords(h, spacing, half) for h in hs]
+    chords = [_chords(h, spacing, n // 2) for h in hs]
+    ascending = np.argsort(hs, kind="stable")
     osc = [float(v.max() - v.min()) for v in comps]
     for k in sorted(range(len(comps)), key=lambda k: -osc[k]):
         v = comps[k]
         (py, px), (qy, qx) = divmod(int(v.argmax()), n), divmod(int(v.argmin()), n)
         ey, ex = (min(d % n, -d % n) for d in (qy - py, qx - px))
-        swept = []
-        for i, bx in enumerate(chords):
-            if len(bx) == 0 or out[i] >= osc[k]:
+        reach = [ey < len(bx) and ex <= bx[ey] for bx in chords]
+        widest = max((int(bx[0]) for bx, r in zip(chords, reach) if len(bx) > 1 and not r), default=0)
+        search, floor = None, 0.0
+        for i in ascending:
+            floor = out[i] = max(floor, out[i])
+            if len(chords[i]) < 2 or floor >= osc[k]:
                 continue
-            if ey < len(bx) and ex <= bx[ey]:
-                out[i] = osc[k]
-            else:
-                swept.append(i)
-        padded = np.pad(v, ((0, 0), (half, half)), mode="wrap")
-        for i, m in zip(swept, _sweep(v, padded, [chords[i] for i in swept])):
-            out[i] = max(out[i], m)
+            if not reach[i] and search is None:
+                search = _DiscSearch(v, min(2 * widest + 1, n).bit_length() - 1)
+            floor = out[i] = osc[k] if reach[i] else search.largest(chords[i], floor)
     return out if np.ndim(h_values) else float(out[0])
 
 

@@ -1,7 +1,8 @@
 """Identities of the paper's objects that only the tests check: the shape of
 a sampled K-functional, the pairwise ratios of a norm report's forms, and
-the sum of a dyadic decomposition's bands; and the |log rho| vorticity that
-both the velocity envelope and the Vishik norm are measured on."""
+the sum of a dyadic decomposition's bands; the |log rho| vorticity that
+both the velocity envelope and the Vishik norm are measured on; and the
+package's former widening table sweep of the velocity modulus."""
 
 import numpy as np
 
@@ -57,3 +58,31 @@ def log_patch(n, alpha):
     rho = np.hypot(x[:, None] - np.pi, x[None, :] - np.pi)
     w = np.abs(np.log(np.maximum(rho, np.pi / n))) ** (1.0 + alpha)
     return GridField(w - w.mean(), Domain.TORUS_2PI)
+
+
+def _sweep(v: np.ndarray, padded: np.ndarray, chords: list) -> list:
+    """max of v - lower for each disc of chords, from one widening sweep:
+    one running row-minimum widens a column offset at a time, against slices
+    of v padded by n//2 columns on each side, up to the widest chord.  At
+    width w it fills the entries [dy, w] the discs read of one (n/2 + 1)^2
+    table, max of v - min(rowmin at +dy, rowmin at -dy), wrapped, in one
+    n x n scratch array.  A disc's result is the largest of its [dy, bx(dy)].
+    """
+    n = v.shape[0]
+    half = n // 2
+    reads = np.zeros((half + 1, half + 1), bool)  # the entries [dy, w] some disc reads
+    for bx in chords:
+        reads[np.arange(len(bx)), bx] = True
+    table = np.full(reads.shape, np.nan)
+    rowmin, low = v.copy(), np.empty_like(v)
+    for w in range(max((int(bx[0]) for bx in chords), default=-1) + 1):
+        if w:
+            np.minimum(rowmin, padded[:, half + w:half + w + n], out=rowmin)
+            np.minimum(rowmin, padded[:, half - w:half - w + n], out=rowmin)
+        for dy in np.flatnonzero(reads[:, w]):
+            # low[r] = min(rowmin[r + dy], rowmin[r - dy]) where neither, r - dy or r + dy wraps
+            np.minimum(rowmin[2 * dy:], rowmin[:n - 2 * dy], out=low[dy:n - dy])
+            np.minimum(rowmin[dy:2 * dy], rowmin[n - dy:], out=low[:dy])
+            np.minimum(rowmin[:dy], rowmin[n - 2 * dy:n - dy], out=low[n - dy:])
+            table[dy, w] = np.subtract(v, low, out=low).max()
+    return [float(table[np.arange(len(bx)), bx].max()) for bx in chords]

@@ -1,6 +1,5 @@
 import importlib.util
 import itertools
-import math
 import os
 import re
 import subprocess
@@ -16,12 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import osgood
-from oracles import check_shape
+from oracles import _sweep, check_shape
 
 from osgood.errors import EmptySequence, InvalidArgument, InvalidExponent, InvalidField, NonPositiveArgument
 from osgood.biot import biot_savart
 from osgood.field import Domain, GridField, lp_norm, rearrange, sharp_maximal
-from osgood.growth import GrowthFunction, _legendre, _with_p0, theta1, yudovich
+from osgood.growth import GrowthFunction, _legendre, _with_p0, yudovich
 from osgood.kfunc import (
     _T_GRID,
     BandSequence,
@@ -36,7 +35,6 @@ from osgood.kfunc import (
     _chords,
     _h_grid,
     _sup_finite_ratio,
-    _sweep,
 )
 
 rng = np.random.default_rng(7)
@@ -357,6 +355,20 @@ def _gate_field(n, kind):
     return log_power_field(n).data
 
 
+def _edge_field(n, kind):
+    if kind == "constant":
+        return np.full((n, n), -1.25)
+    if kind == "spike":
+        v = np.zeros((n, n))
+        v[n // 3, 2 * n // 3] = 1.0
+        return v
+    if kind == "noise":
+        return np.random.default_rng(n).standard_normal((n, n))
+    # a ramp in both axes: not periodic, so its largest step is across the seams
+    x = np.arange(n, dtype=float)
+    return np.add.outer(x, 0.5 * x)
+
+
 def _tied_extremes_modulus(fields, spacing, h_values):
     """The former routine: the oscillation shortcut paired each of the first
     64 maximum samples with each of the first 64 minimum samples, and each
@@ -403,8 +415,9 @@ def _pipeline_velocities():
 
 
 class TestModulusExactness:
-    """The slice-min chain visits the same offsets as the reference and
-    min is exact, so the results agree bit for bit."""
+    """The pruned search reads the same offsets as the reference at every
+    sample it does not prune, min is exact and a pruned sample never
+    decides the maximum, so the results agree bit for bit."""
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
     @pytest.mark.parametrize("kind", ["random", "log_singular", "adjacent_extremes", "tied_extremes", "constant"])
@@ -462,7 +475,7 @@ class TestModulusExactness:
 
     def test_bit_identical_on_the_pipeline_velocities(self):
         # the 48-point h grid, against the reference rather than a routine
-        # that calls the package's own sweep
+        # that calls the former table sweep
         for v1, v2 in itertools.islice(_pipeline_velocities(), 2):
             hs = _h_grid(v1)
             assert np.array_equal(modulus_of_continuity([v1.data, v2.data], v1.spacing, hs),
@@ -496,9 +509,39 @@ class TestModulusExactness:
             hs = np.concatenate([_gate_h_values(n), _h_grid(torus_field(v))])
             assert np.array_equal(modulus_of_continuity([v], s, hs), _tied_extremes_modulus([v], s, hs))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("kinds", [("constant",), ("spike",), ("ramp",), ("ramp", "spike"),
+                                       ("spike", "constant", "ramp"), ("noise", "ramp", "spike")])
+    def test_bit_identical_on_edge_fields(self, n, kinds):
+        # the pruned search on fields where one sample, or none, or the seam
+        # decides, over an h list that is unsorted, repeats values and holds
+        # h < 0, h = 0 and h below one spacing (a = 0); each component after
+        # the first is scaled by 1/20, below the first one's floor
+        s = 2 * np.pi / n
+        hs = s * np.array([2.5, 0.4, 1.0, 7.0, 1.0, 0.0, np.sqrt(2), 2.5, -1.0, 3.0, 0.4, 40.0, 1.5])
+        comps = [_edge_field(n, kind) / (20.0 if j else 1.0) for j, kind in enumerate(kinds)]
+        assert np.array_equal(modulus_of_continuity(comps, s, hs), _reference_modulus(comps, s, hs))
+
+    @given(
+        st.integers(4, 32),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.lists(st.one_of(st.integers(0, 24).map(float), st.floats(0.0, 24.0)), min_size=1, max_size=12),
+    )
+    def test_bit_identical_on_drawn_grids(self, n, seed, comps, cells):
+        # odd and even sides, h in cells unsorted and repeated, and samples
+        # in a few values half the time, so ties in v and in the bound occur
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((comps, n, n))
+        if seed % 2:
+            v = np.round(2.0 * v) / 2.0
+        s = 2 * np.pi / n
+        hs = np.array(cells) * s
+        assert np.array_equal(modulus_of_continuity(list(v), s, hs), _reference_modulus(list(v), s, hs))
+
     def test_peak_memory_of_a_velocity_call(self):
-        # two 128^2 components on the 48-point grid: one sweep at a time
-        # holds the padded copy, two 128^2 arrays and a 65^2 table, whatever
+        # two 128^2 components on the 48-point grid: one search at a time
+        # holds a few 128^2 arrays and a row pyramid of 8 levels, whatever
         # the number of radii, so the call peaks well below 2 MiB
         comps = [_gate_field(128, "random"), _gate_field(128, "log_singular")]
         v = torus_field(comps[0])

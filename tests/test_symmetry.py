@@ -1,6 +1,7 @@
 """The square torus's symmetries as exact oracles: the modulus of continuity
 sees only distances and differences, so it is unchanged by every dihedral
-map, integer roll and negation, and scales with the field; the sharp
+map, integer roll and negation, and scales with the field, on either
+domain's spacing and on drawn sides, fields and maps; the sharp
 maximal function's dyadic cubes map onto dyadic cubes under the dihedral
 maps, so it moves as its input does, and an oscillation is unchanged by
 negation and doubled with the field.  The norm reports read a field only
@@ -14,6 +15,8 @@ order in which samples are visited, and scaling by 2 is exact.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from osgood.field import Domain, GridField, dyadic_bmo_norm, sharp_maximal
 from osgood.growth import GrowthFunction
@@ -62,14 +65,40 @@ def modulus(f):
     return modulus_of_continuity([f.data], f.spacing, _h_grid(f))
 
 
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("kind", FIELDS)
-def test_modulus_is_invariant_and_homogeneous(kind, n):
-    f = unit(field(kind, n))
+def test_modulus_is_invariant_and_homogeneous(kind, n, domain):
+    def on(data):
+        return GridField(np.ascontiguousarray(data), domain)
+
+    f = on(field(kind, n))
     base = modulus(f)
     for name, m in MAPS.items():
-        assert np.array_equal(modulus(unit(m(f.data))), base), name
-    assert np.array_equal(modulus(unit(2.0 * f.data)), 2.0 * base)
+        assert np.array_equal(modulus(on(m(f.data))), base), name
+    assert np.array_equal(modulus(on(2.0 * f.data)), 2.0 * base)
+
+
+@given(
+    st.integers(2, 40),
+    st.sampled_from(sorted(FIELDS)),
+    st.sampled_from(sorted(MAPS) + ["drawn roll"]),
+    st.sampled_from(list(Domain)),
+    st.integers(0, 2**32 - 1),
+)
+def test_modulus_is_invariant_on_drawn_cases(n, kind, name, domain, seed):
+    # odd sides too, where no row offset is n/2, and a roll by a drawn
+    # offset: the search visits samples in the order of their bound, so
+    # these are the cases where a dependence on sample order would show
+    rng = np.random.default_rng(seed)
+    data = FIELDS[kind](n, rng)
+    shift = tuple(int(x) for x in rng.integers(0, n, 2))
+    m = MAPS.get(name, lambda a: np.roll(a, shift, axis=(0, 1)))
+    s = domain.side / n  # GridField takes powers of two only: the 48-point h grid of _h_grid
+    hs = np.geomspace(s, domain.side / 2.0, 48)
+    base = modulus_of_continuity([data], s, hs)
+    assert np.array_equal(modulus_of_continuity([m(data)], s, hs), base)
+    assert np.array_equal(modulus_of_continuity([2.0 * data], s, hs), 2.0 * base)
 
 
 @pytest.mark.parametrize("n", [16, 64])
